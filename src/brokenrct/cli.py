@@ -19,9 +19,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .comparators import METHODS, itt_at_pp, tsls_survivors
+from .comparators import METHODS, estimate
 from .errors import BrokenRctError, EstimationError, SchemaError
-from .estimation import estimate_pace, estimate_pace_logit, fit_cell_params
+from .estimation import estimate_pace, fit_cell_params
 from .identify import complier_survival, strata_proportions
 from .imputation import impute_within_cells, pool_estimates, read_completed_dir
 from .records import cells_from_arrays, read_csv, validate_design
@@ -94,20 +94,6 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _analyze_one(arr, method: str, scale: str, level: float):
-    """(estimate, se, ci_lower, ci_upper, p_value) for one method/dataset."""
-    if method == "pace":
-        params, cov = fit_cell_params(cells_from_arrays(*(arr[:, i] for i in range(6))))
-        fn = estimate_pace_logit if scale == "logit" else estimate_pace
-        est = fn(params, cov, level=level, n=arr.shape[0])
-        return est.tau, est.se_tau, est.ci_lower, est.ci_upper, est.p_value
-    if method == "tsls":
-        est = tsls_survivors(arr, level=level)
-    else:
-        est = itt_at_pp(arr, method, level=level)
-    return est.tau, est.se, est.ci_lower, est.ci_upper, est.p_value
-
-
 def cmd_analyze(args) -> int:
     methods = args.method or ["pace"]
     if args.impute is not None and args.completed_dir is not None:
@@ -117,8 +103,9 @@ def cmd_analyze(args) -> int:
         print("error: --impute requires M >= 2 for pooled variance", file=sys.stderr)
         return EXIT_IO
     arr = read_csv(args.input)
+    cells = cells_from_arrays(*arr.T)
 
-    report = validate_design(arr, weak_threshold=args.weak_threshold)
+    report = validate_design(cells, weak_threshold=args.weak_threshold)
     if report.failures:
         for failure in report.failures:
             print(f"validation failure: {failure}", file=sys.stderr)
@@ -133,24 +120,28 @@ def cmd_analyze(args) -> int:
     elif args.completed_dir is not None:
         datasets = read_completed_dir(args.completed_dir)
         mode = f"completed-dir m={len(datasets)}"
+    if datasets is not None:
+        datasets = [cells_from_arrays(*dataset.T) for dataset in datasets]
 
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        params, cov = fit_cell_params(cells_from_arrays(*(arr[:, i] for i in range(6))))
+        params, _ = fit_cell_params(cells)
         strata = strata_proportions(params)
         survival = complier_survival(params)
         results = {}
         for method in methods:
             if datasets is None:
-                results[method] = _analyze_one(arr, method, args.scale, args.level)
+                est = estimate(cells, method, args.level, args.scale)
+                point = est.tau
             else:
                 per_dataset = []
                 for dataset in datasets:
-                    est, se, *_ = _analyze_one(dataset, method, args.scale, args.level)
-                    per_dataset.append((est, se))
-                pooled = pool_estimates(per_dataset, level=args.level)
-                results[method] = (pooled.point, pooled.se, pooled.ci_lower,
-                                   pooled.ci_upper, pooled.p_value)
+                    one = estimate(dataset, method, args.level, args.scale)
+                    per_dataset.append((one.tau, one.se))
+                est = pool_estimates(per_dataset, level=args.level)
+                point = est.point
+            results[method] = {"estimate": point, "se": est.se, "ci_lower": est.ci_lower,
+                               "ci_upper": est.ci_upper, "p_value": est.p_value}
     caught.extend(report.warnings)
     caught.extend(str(w.message) for w in captured)
 
@@ -168,11 +159,7 @@ def cmd_analyze(args) -> int:
         "complier_survival": {"treated": survival.s1_given_c,
                               "control": survival.s0_given_c,
                               "effect": survival.effect},
-        "estimates": {
-            method: {"estimate": est, "se": se, "ci_lower": lo,
-                     "ci_upper": hi, "p_value": p}
-            for method, (est, se, lo, hi, p) in results.items()
-        },
+        "estimates": results,
         "warnings": caught,
     }
     _emit(_render_analyze(payload, args.format), args.output)
@@ -302,15 +289,14 @@ def cmd_effect_series(args) -> int:
     for period, path in enumerate(args.inputs, start=1):
         row = {"period": period, "input": path}
         try:
-            arr = read_csv(path)
+            cells = cells_from_arrays(*read_csv(path).T)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                params, cov = fit_cell_params(
-                    cells_from_arrays(*(arr[:, i] for i in range(6))))
+                params, cov = fit_cell_params(cells)
                 survival = complier_survival(params)
-                est = estimate_pace(params, cov, level=args.level, n=arr.shape[0])
+                est = estimate_pace(params, cov, level=args.level, n=cells.n_records)
             row.update(
-                n=arr.shape[0],
+                n=cells.n_records,
                 s1_complier=survival.s1_given_c,
                 s0_complier=survival.s0_given_c,
                 survival_effect=survival.effect,

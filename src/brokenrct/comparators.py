@@ -4,103 +4,97 @@ These are the benchmarks the main estimator is compared against.  All of
 them are computed on the survivor subsample with observed outcomes and are
 conventions, not identification results: they ignore the uncertainty in who
 survives, which is exactly why their intervals look tighter.
+
+Because z and d are constant within a (z, d) cell, every comparator is a
+closed-form function of the per-cell outcome count, mean and M2 in
+:class:`~brokenrct.records.CellStatistics`.  :func:`estimate` runs any of
+the five methods, the main estimator included, on one set of cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DenominatorDegenerateError, EmptyCellError
-from .estimation import normal_quantile, two_sided_p
-from .records import as_array
+from .estimation import (
+    Estimate,
+    estimate_pace,
+    estimate_pace_logit,
+    fit_cell_params,
+    normal_interval,
+)
+from .records import ingest, pool_moments
 
 METHODS = ("tsls", "itt", "at", "pp")
 
 
-@dataclass(frozen=True)
-class ComparatorEstimate:
-    method: str
-    tau: float
-    se: float
-    ci_lower: float
-    ci_upper: float
-    level: float
-    p_value: float
-    n_used: int
-
-    @property
-    def ci(self) -> tuple[float, float]:
-        return (self.ci_lower, self.ci_upper)
-
-
-def _survivor_outcome_view(records):
-    """(z, d, y) among survivors with an observed outcome, plus full (z, d)."""
-    arr = records if isinstance(records, np.ndarray) else as_array(records)
-    z, d = arr[:, 0], arr[:, 1]
-    keep = (arr[:, 2] == 1) & (arr[:, 3] == 1) & (arr[:, 4] == 1)
-    return z[keep], d[keep], arr[keep, 5], z, d
-
-
-def tsls_survivors(records, level: float = 0.95) -> ComparatorEstimate:
+def tsls_survivors(records, level: float = 0.95) -> Estimate:
     """Just-identified IV (Wald) ratio computed within observed survivors.
 
     The assignment instruments the received treatment on the survivor
     subsample; the standard error is the heteroskedasticity-robust sandwich
-    for the just-identified case.
+    for the just-identified case.  With k, ybar and M2 the outcome count,
+    mean and M2 of a (z, d) cell and bars over all survivors with an
+    observed outcome, the ratio is
+    sum k (z - zbar)(ybar_zd - ybar) / sum k (z - zbar)(d - dbar), and the
+    sandwich sums (z - zbar)^2 (M2 + k r^2) with r the cell-mean residual.
     """
-    z, d, y, *_ = _survivor_outcome_view(records)
-    n = z.size
-    if n == 0 or z.min() == z.max():
+    cells = ingest(records)
+    k = cells.y_count
+    n, n_z1, n_d1 = int(k.sum()), int(k[1].sum()), int(k[:, 1].sum())
+    if n_z1 == 0 or n_z1 == n:
         raise EmptyCellError("both assignment arms must appear among observed survivors")
-    zc = z - z.mean()
-    dc = d - d.mean()
-    yc = y - y.mean()
-    first_stage = float(np.dot(zc, dc))
-    if first_stage == 0.0:
+    # n * sum k (z - zbar)(d - dbar) is an integer: test it exactly
+    first_stage_n = n * int(k[1, 1]) - n_z1 * n_d1
+    if first_stage_n == 0:
         raise DenominatorDegenerateError("zero first stage among survivors")
-    tau = float(np.dot(zc, yc)) / first_stage
-    alpha = y.mean() - tau * d.mean()
-    resid = y - alpha - tau * d
-    variance = float(np.sum((zc * resid) ** 2)) / first_stage**2
-    return _wrap("tsls", tau, math.sqrt(variance), level, n)
+    first_stage = first_stage_n / n
+    z_c = np.array([[0.0], [1.0]]) - n_z1 / n
+    y_bar = float((k * cells.y_mean).sum()) / n
+    tau = float((k * z_c * (cells.y_mean - y_bar)).sum()) / first_stage
+    alpha = y_bar - tau * (n_d1 / n)
+    resid = cells.y_mean - alpha - tau * np.array([0.0, 1.0])
+    variance = float((z_c**2 * (cells.y_m2 + k * resid**2)).sum()) / first_stage**2
+    se = math.sqrt(variance)
+    return Estimate("tsls", tau, se, *normal_interval(tau, se, level), level=level, n=n)
 
 
-def itt_at_pp(records, method: str, level: float = 0.95) -> ComparatorEstimate:
+def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
     """Survivor-restricted mean contrasts by assignment, treatment or protocol.
 
     itt: difference by assignment; at: difference by received treatment;
     pp: difference by assignment among protocol-followers (z = d).  Standard
-    errors are the unpooled two-sample normal formula.
+    errors are the unpooled two-sample normal formula.  Each comparison
+    group pools the outcome moments of its (z, d) cells.
     """
     method = method.lower()
     if method not in ("itt", "at", "pp"):
         raise ValueError(f"method must be itt, at or pp, got {method!r}")
-    z, d, y, *_ = _survivor_outcome_view(records)
-    if method == "itt":
-        group = z
-    elif method == "at":
-        group = d
-    else:
-        keep = z == d
-        z, y = z[keep], y[keep]
-        group = z
-    y1, y0 = y[group == 1], y[group == 0]
-    if y1.size == 0 or y0.size == 0:
+    cells = ingest(records)
+    k, mean, m2 = cells.y_count, cells.y_mean, cells.y_m2
+    if method == "itt":    # group by z: pool each arm's two d cells
+        k, mean, m2 = pool_moments(k[:, 0], mean[:, 0], m2[:, 0], k[:, 1], mean[:, 1], m2[:, 1])
+    elif method == "at":   # group by d: pool each treatment's two z cells
+        k, mean, m2 = pool_moments(k[0], mean[0], m2[0], k[1], mean[1], m2[1])
+    else:                  # protocol followers: cells (0, 0) and (1, 1)
+        k, mean, m2 = k.diagonal(), mean.diagonal(), m2.diagonal()
+    if (k == 0).any():
         raise EmptyCellError(f"{method}: empty comparison group among observed survivors")
-    tau = float(y1.mean() - y0.mean())
-    var1 = float(y1.var(ddof=1)) if y1.size > 1 else 0.0
-    var0 = float(y0.var(ddof=1)) if y0.size > 1 else 0.0
-    se = math.sqrt(var1 / y1.size + var0 / y0.size)
-    return _wrap(method, tau, se, level, int(y1.size + y0.size))
+    var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0)
+    tau = float(mean[1] - mean[0])
+    se = math.sqrt(float(var[1] / k[1] + var[0] / k[0]))
+    return Estimate(method, tau, se, *normal_interval(tau, se, level),
+                    level=level, n=int(k.sum()))
 
 
-def _wrap(method, tau, se, level, n) -> ComparatorEstimate:
-    zq = normal_quantile(0.5 + level / 2.0)
-    return ComparatorEstimate(
-        method=method, tau=tau, se=se,
-        ci_lower=tau - zq * se, ci_upper=tau + zq * se,
-        level=level, p_value=two_sided_p(tau, se), n_used=n,
-    )
+def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -> Estimate:
+    """The effect by ``method``: "pace" (on ``scale``) or one of :data:`METHODS`."""
+    if method == "pace":
+        params, cov = fit_cell_params(cells)
+        pace = estimate_pace_logit if scale == "logit" else estimate_pace
+        return pace(params, cov, level=level, n=cells.n_records).as_estimate()
+    if method == "tsls":
+        return tsls_survivors(cells, level=level)
+    return itt_at_pp(cells, method, level=level)

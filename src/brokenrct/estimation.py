@@ -64,6 +64,34 @@ class PaceEstimate:
     def ci(self) -> tuple[float, float]:
         return (self.ci_lower, self.ci_upper)
 
+    def as_estimate(self) -> "Estimate":
+        """The effect ``tau`` as the :class:`Estimate` of method "pace"."""
+        return Estimate("pace", self.tau, self.se_tau, self.ci_lower, self.ci_upper,
+                        self.p_value, level=self.level, n=self.n)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One method's effect estimate with a normal interval and p-value.
+
+    ``n`` is the number of records the estimate uses: all records for
+    "pace", the survivors with an observed outcome in the compared groups
+    for the comparators.
+    """
+
+    method: str
+    tau: float
+    se: float
+    ci_lower: float
+    ci_upper: float
+    p_value: float
+    level: float
+    n: int
+
+    @property
+    def ci(self) -> tuple[float, float]:
+        return (self.ci_lower, self.ci_upper)
+
 
 def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     """Maximum-likelihood cell parameters and their diagonal covariance.
@@ -162,20 +190,18 @@ def gradient_mu(params: CellParams, arm: int) -> np.ndarray:
 def estimate_pace(params: CellParams, cov: CellCovariance,
                   level: float = 0.95, n: int = 0) -> PaceEstimate:
     """Point estimates with delta-method standard errors and a normal CI."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
     mu1, mu0, tau = pace_identify(params)
     grad1 = gradient_mu(params, 1)
     grad0 = gradient_mu(params, 0)
     se_mu1 = math.sqrt(cov.quadratic_form(grad1))
     se_mu0 = math.sqrt(cov.quadratic_form(grad0))
     se_tau = math.sqrt(cov.quadratic_form(grad1 - grad0))
-    zq = normal_quantile(0.5 + level / 2.0)
+    ci_lower, ci_upper, p_value = normal_interval(tau, se_tau, level)
     return PaceEstimate(
         mu1=mu1, mu0=mu0, tau=tau,
         se_mu1=se_mu1, se_mu0=se_mu0, se_tau=se_tau,
-        ci_lower=tau - zq * se_tau, ci_upper=tau + zq * se_tau,
-        level=level, p_value=two_sided_p(tau, se_tau), scale="identity", n=n,
+        ci_lower=ci_lower, ci_upper=ci_upper,
+        level=level, p_value=p_value, scale="identity", n=n,
     )
 
 
@@ -186,8 +212,6 @@ def estimate_pace_logit(params: CellParams, cov: CellCovariance,
     The gradient of ``logit(mu)`` is the identity-scale gradient divided by
     ``mu * (1 - mu)``, so the same diagonal covariance propagates through.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
     mu1, mu0, _ = pace_identify(params)
     for name, mu in (("mu1", mu1), ("mu0", mu0)):
         if not 0.0 < mu < 1.0:
@@ -202,17 +226,25 @@ def estimate_pace_logit(params: CellParams, cov: CellCovariance,
     se_mu1 = math.sqrt(cov.quadratic_form(grad1))
     se_mu0 = math.sqrt(cov.quadratic_form(grad0))
     se_tau = math.sqrt(cov.quadratic_form(grad1 - grad0))
-    zq = normal_quantile(0.5 + level / 2.0)
+    ci_lower, ci_upper, p_value = normal_interval(tau, se_tau, level)
     return PaceEstimate(
         mu1=lmu1, mu0=lmu0, tau=tau,
         se_mu1=se_mu1, se_mu0=se_mu0, se_tau=se_tau,
-        ci_lower=tau - zq * se_tau, ci_upper=tau + zq * se_tau,
-        level=level, p_value=two_sided_p(tau, se_tau), scale="logit", n=n,
+        ci_lower=ci_lower, ci_upper=ci_upper,
+        level=level, p_value=p_value, scale="logit", n=n,
     )
 
 
 def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
+
+
+def normal_interval(point: float, se: float, level: float) -> tuple[float, float, float]:
+    """(ci_lower, ci_upper, p_value): normal interval and zero-null p-value."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie in (0, 1)")
+    zq = normal_quantile(0.5 + level / 2.0)
+    return point - zq * se, point + zq * se, two_sided_p(point, se)
 
 
 def two_sided_p(estimate: float, se: float) -> float:

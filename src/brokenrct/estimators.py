@@ -76,25 +76,23 @@ class PaceEstimator(BaseReportingEstimator):
         if self.scale not in ("identity", "logit"):
             raise ValueError("scale must be 'identity' or 'logit'")
         arr = as_array(X)
-        self.validation_ = validate_design(arr)
+        self.cells_ = cells_from_arrays(*arr.T)
+        self.validation_ = validate_design(self.cells_)
         if self.warn_weak_instrument:
             warn_if_weak(self.validation_)
-        self.cells_ = cells_from_arrays(*(arr[:, i] for i in range(6)))
         self.params_, self.covariance_ = fit_cell_params(self.cells_)
         estimator = estimate_pace_logit if self.scale == "logit" else estimate_pace
         self.estimate_ = estimator(self.params_, self.covariance_,
-                                   level=self.level, n=arr.shape[0])
+                                   level=self.level, n=self.cells_.n_records)
         self.strata_proportions_ = identify.strata_proportions(self.params_)
         self.complier_survival_ = identify.complier_survival(self.params_)
         self.pooled_ = None
         if self.impute:
-            completed = imputation.impute_within_cells(arr, self.impute, self.seed)
             per_dataset = []
-            for dataset in completed:
-                params, cov = fit_cell_params(
-                    cells_from_arrays(*(dataset[:, i] for i in range(6))))
-                est = estimator(params, cov, level=self.level, n=dataset.shape[0])
-                per_dataset.append((est.tau, est.se_tau))
+            for dataset in imputation.impute_within_cells(arr, self.impute, self.seed):
+                est = comparators.estimate(cells_from_arrays(*dataset.T), "pace",
+                                           self.level, self.scale)
+                per_dataset.append((est.tau, est.se))
             self.pooled_ = imputation.pool_estimates(per_dataset, level=self.level)
         self._fitted = True
         return self
@@ -120,17 +118,8 @@ class PaceEstimator(BaseReportingEstimator):
         return self.pooled_.p_value if self.pooled_ is not None else self.estimate_.p_value
 
 
-class TwoStageLeastSquares(BaseReportingEstimator):
-    """Survivor-restricted just-identified IV comparator."""
-
-    def __init__(self, level: float = 0.95):
-        self.level = level
-
-    def fit(self, X, y=None):
-        arr = as_array(X)
-        self.result_ = comparators.tsls_survivors(arr, level=self.level)
-        self._fitted = True
-        return self
+class _ComparatorEstimator(BaseReportingEstimator):
+    """Fitted-result accessors shared by the comparator estimators."""
 
     @property
     def tau_(self):
@@ -148,7 +137,19 @@ class TwoStageLeastSquares(BaseReportingEstimator):
         return self.result_.ci
 
 
-class SurvivorContrast(BaseReportingEstimator):
+class TwoStageLeastSquares(_ComparatorEstimator):
+    """Survivor-restricted just-identified IV comparator."""
+
+    def __init__(self, level: float = 0.95):
+        self.level = level
+
+    def fit(self, X, y=None):
+        self.result_ = comparators.tsls_survivors(X, level=self.level)
+        self._fitted = True
+        return self
+
+
+class SurvivorContrast(_ComparatorEstimator):
     """Naive survivor-restricted contrast: method in {"itt", "at", "pp"}."""
 
     def __init__(self, method: str = "itt", level: float = 0.95):
@@ -156,22 +157,6 @@ class SurvivorContrast(BaseReportingEstimator):
         self.level = level
 
     def fit(self, X, y=None):
-        arr = as_array(X)
-        self.result_ = comparators.itt_at_pp(arr, self.method, level=self.level)
+        self.result_ = comparators.itt_at_pp(X, self.method, level=self.level)
         self._fitted = True
         return self
-
-    @property
-    def tau_(self):
-        self._check_fitted()
-        return self.result_.tau
-
-    @property
-    def se_(self):
-        self._check_fitted()
-        return self.result_.se
-
-    @property
-    def conf_int_(self):
-        self._check_fitted()
-        return self.result_.ci

@@ -23,16 +23,6 @@ from .errors import (
 )
 from .records import CellStatistics
 
-#: Canonical packing order of the parameter vector used by gradients and the
-#: diagonal covariance: assignment rate, uptake in arm 1 and arm 0, survival
-#: per (z, d) cell, mean outcome per (z, d) cell.
-PARAM_NAMES = (
-    "assign_rate",
-    "take[1]", "take[0]",
-    "survival[1,1]", "survival[1,0]", "survival[0,1]", "survival[0,0]",
-    "mean_y[1,1]", "mean_y[1,0]", "mean_y[0,1]", "mean_y[0,0]",
-)
-
 DENOMINATOR_HARD_TOLERANCE = 1e-10
 DENOMINATOR_WARN_TOLERANCE = 0.01
 
@@ -53,6 +43,10 @@ class CellParams:
     assign_rate: float = 0.5
 
     def pack(self) -> np.ndarray:
+        """The 11-vector in the order of the gradients and the covariance:
+        assignment rate, uptake in arm 1 and arm 0, survival per (z, d)
+        cell, mean outcome per (z, d) cell, cells ordered (1,1), (1,0),
+        (0,1), (0,0)."""
         return np.array([
             self.assign_rate,
             self.take[1], self.take[0],
@@ -71,11 +65,6 @@ class CellParams:
         survival = np.array([[vec[6], vec[5]], [vec[4], vec[3]]])
         mean_y = np.array([[vec[10], vec[9]], [vec[8], vec[7]]])
         return cls(take=take, survival=survival, mean_y=mean_y, assign_rate=float(vec[0]))
-
-    def with_packed(self, index: int, value: float) -> "CellParams":
-        vec = self.pack()
-        vec[index] = value
-        return CellParams.unpack(vec)
 
 
 @dataclass(frozen=True)
@@ -278,14 +267,6 @@ def no_missing_reduction(cells: CellStatistics) -> float:
     return term(1) - term(0)
 
 
-def params_from_cells(cells: CellStatistics) -> CellParams:
-    """Plug-in cell parameters; see :func:`brokenrct.estimation.fit_cell_params`
-    for the variant that also returns the sampling covariance."""
-    from .estimation import fit_cell_params
-
-    return fit_cell_params(cells)[0]
-
-
 __all__ = [
     "CellParams",
     "ComplierSurvival",
@@ -295,9 +276,7 @@ __all__ = [
     "no_missing_reduction",
     "pace_denominators",
     "pace_identify",
-    "params_from_cells",
     "strata_proportions",
     "survivor_contrast_reduction",
     "wald_reduction",
-    "PARAM_NAMES",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoDonorsError, ReductionPreconditionError
-from .estimation import normal_quantile, two_sided_p
+from .estimation import normal_interval
 from .records import as_array, read_csv
 
 
@@ -144,11 +144,10 @@ def rubin_pool(analysis: ImputedAnalysis, level: float = 0.95) -> PooledEstimate
     between = float(analysis.estimates.var(ddof=1))
     total = within + (1.0 + 1.0 / analysis.m) * between
     se = math.sqrt(total)
-    zq = normal_quantile(0.5 + level / 2.0)
+    ci_lower, ci_upper, p_value = normal_interval(point, se, level)
     return PooledEstimate(
-        point=point, se=se,
-        ci_lower=point - zq * se, ci_upper=point + zq * se,
-        level=level, p_value=two_sided_p(point, se),
+        point=point, se=se, ci_lower=ci_lower, ci_upper=ci_upper,
+        level=level, p_value=p_value,
         m=analysis.m, within=within, between=between,
     )
 

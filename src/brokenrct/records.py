@@ -85,9 +85,6 @@ STRATA = (
     PrincipalStratum("nd", 0, 0, None, 0, "dead never-takers"),
 )
 
-STRATUM_BY_LABEL = {stratum.label: stratum for stratum in STRATA}
-
-
 @dataclass
 class CellStatistics:
     """Counts and complete-case moments per (z, d) cell.
@@ -144,12 +141,8 @@ class CellStatistics:
 
     def merge(self, other: "CellStatistics") -> "CellStatistics":
         """Combine two disjoint batches (associative up to float rounding)."""
-        ka, kb = self.y_count, other.y_count
-        k = ka + kb
-        delta = other.y_mean - self.y_mean
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(k > 0, self.y_mean + delta * np.divide(kb, np.maximum(k, 1)), 0.0)
-            m2 = self.y_m2 + other.y_m2 + delta**2 * np.divide(ka * kb, np.maximum(k, 1))
+        k, mean, m2 = pool_moments(self.y_count, self.y_mean, self.y_m2,
+                                   other.y_count, other.y_mean, other.y_m2)
         return CellStatistics(
             count=self.count + other.count,
             surv_obs=self.surv_obs + other.surv_obs,
@@ -161,22 +154,41 @@ class CellStatistics:
         )
 
 
+def pool_moments(ka, mean_a, m2a, kb, mean_b, m2b):
+    """Count, mean and M2 of two disjoint batches, elementwise.
+
+    The pairwise update of Chan, Golub & LeVeque (1979); an empty batch
+    (count 0, mean 0) leaves the other batch's moments exact.
+    """
+    k = ka + kb
+    delta = mean_b - mean_a
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(k > 0, mean_a + delta * np.divide(kb, np.maximum(k, 1)), 0.0)
+        m2 = m2a + m2b + delta**2 * np.divide(ka * kb, np.maximum(k, 1))
+    return k, mean, m2
+
+
 def ingest(records) -> CellStatistics:
-    """Reduce records to cell statistics.
+    """Reduce records to cell statistics; a :class:`CellStatistics` passes through.
 
     Validates every record, rejects empty input, and is exactly
     permutation-invariant: outcomes are accumulated in sorted order within
     each cell, so any ordering of the input produces bit-identical moments.
     """
-    arr = as_array(records)
-    if arr.shape[0] == 0:
-        raise ValueError("no records to ingest")
-    return cells_from_arrays(*(arr[:, i] for i in range(6)))
+    if isinstance(records, CellStatistics):
+        return records
+    return cells_from_arrays(*as_array(records).T)
 
 
 def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
-    """Vectorised ingestion from parallel column arrays (nan = missing)."""
+    """Vectorised ingestion from parallel column arrays (nan = missing).
+
+    The columns are taken as valid (see :func:`as_array`); empty input is
+    rejected.
+    """
     z = np.asarray(z, dtype=np.int64)
+    if z.size == 0:
+        raise ValueError("no records to ingest")
     d = np.asarray(d, dtype=np.int64)
     delta_s = np.asarray(delta_s, dtype=np.int64)
     delta_y = np.asarray(delta_y, dtype=np.int64)
@@ -283,8 +295,12 @@ class ValidationReport:
 
 def validate_design(records, weak_threshold: float = WEAK_INSTRUMENT_THRESHOLD,
                     require_both_arms: bool = True) -> ValidationReport:
-    """Report-only design checks; never raises on bad designs."""
-    cells = records if isinstance(records, CellStatistics) else ingest(records)
+    """Report-only design checks; never raises on bad designs.
+
+    ``records`` is anything :func:`ingest` accepts, :class:`CellStatistics`
+    included, so a dataset already ingested is not validated again.
+    """
+    cells = ingest(records)
     failures, warns = [], []
     n1, n0 = cells.arm_count(1), cells.arm_count(0)
     arms = n1 > 0 and n0 > 0

@@ -15,22 +15,17 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .comparators import itt_at_pp, tsls_survivors
+from .comparators import METHODS, estimate
 from .errors import EstimationError
 from .estimation import estimate_pace, fit_cell_params
 from .identify import DENOMINATOR_WARN_TOLERANCE, pace_denominators
 from .records import cells_from_arrays
 
 CASES = (1, 2, 3, 4)
-CASE_LABELS = {
-    1: "ignorable, homogeneous",
-    2: "ignorable, heterogeneous",
-    3: "non-ignorable, homogeneous",
-    4: "non-ignorable, heterogeneous",
-}
 
 
 @dataclass(frozen=True)
@@ -188,8 +183,8 @@ def true_pace(config: DgpConfig, oracle_n: int = 1_000_000, seed=2718281828) -> 
     return float((potential.y1[keep] - potential.y0[keep]).mean())
 
 
-def _run_pace(arr):
-    params, cov = fit_cell_params(cells_from_arrays(*(arr[:, i] for i in range(6))))
+def _run_pace(cells):
+    params, cov = fit_cell_params(cells)
     # a replication whose mixing denominator falls in the warning band is a
     # failure here: its point estimate is arbitrarily unstable and would
     # poison the study moments
@@ -198,29 +193,11 @@ def _run_pace(arr):
         raise EstimationError(
             f"mixing denominator below {DENOMINATOR_WARN_TOLERANCE:g} in this replication"
         )
-    est = estimate_pace(params, cov, level=0.95, n=arr.shape[0])
-    return est.tau, est.se_tau, est.ci_lower, est.ci_upper
+    return estimate_pace(params, cov, level=0.95, n=cells.n_records).as_estimate()
 
 
-def _run_tsls(arr):
-    est = tsls_survivors(arr, level=0.95)
-    return est.tau, est.se, est.ci_lower, est.ci_upper
-
-
-def _make_naive(method):
-    def run(arr):
-        est = itt_at_pp(arr, method, level=0.95)
-        return est.tau, est.se, est.ci_lower, est.ci_upper
-    return run
-
-
-ESTIMATORS = {
-    "pace": _run_pace,
-    "tsls": _run_tsls,
-    "itt": _make_naive("itt"),
-    "at": _make_naive("at"),
-    "pp": _make_naive("pp"),
-}
+#: study estimators by name: each maps one replication's cells to an Estimate
+ESTIMATORS = {"pace": _run_pace, **{m: partial(estimate, method=m) for m in METHODS}}
 
 
 @dataclass
@@ -314,9 +291,10 @@ def _run_chunk(args):
     out = {name: [] for name in estimator_names}
     for rep in rep_range:
         arr, _ = generate(config, _replication_seed(seed, case, size_index, rep))
+        cells = cells_from_arrays(*arr.T)
         for name in estimator_names:
             try:
-                out[name].append(ESTIMATORS[name](arr))
+                out[name].append(ESTIMATORS[name](cells))
             except EstimationError:
                 out[name].append(None)
     return out
@@ -338,6 +316,14 @@ def run_study(
     reproducible for any ``n_jobs`` and replications can run in parallel.
     Estimator failures (degenerate denominators at small n) are counted per
     row, not fatal.
+
+    A replication's stream is keyed by (case, position of n in ``sizes``,
+    rep), not by n itself, so the rows of one (case, n) cell depend on
+    which other sizes are listed before it: a study cannot be split or
+    extended by size and reproduce its rows.  Keying by n would change every
+    study's streams, including those that the benchmark's frozen reference
+    and the n=500 acceptance check recompute, so it waits for a change to
+    the benchmark.
     """
     base = config or DgpConfig()
     for name in estimators:
@@ -366,10 +352,9 @@ def run_study(
                         if item is None:
                             failures += 1
                             continue
-                        tau, se, lo, hi = item
-                        taus.append(tau)
-                        ses.append(se)
-                        covered.append(lo <= truth <= hi)
+                        taus.append(item.tau)
+                        ses.append(item.se)
+                        covered.append(item.ci_lower <= truth <= item.ci_upper)
                 taus = np.asarray(taus)
                 rows.append(StudyRow(
                     case=case, n=n, estimator=name,

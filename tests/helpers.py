@@ -3,13 +3,16 @@
 The oracles here are independent of the code paths they check: cell
 parameters are derived by enumerating the latent strata of the benchmark
 generator, and the employment-study parameters come from the published
-cell table, entered as plain constants.
+cell table, entered as plain constants.  The row-level comparators are
+the reference for the package's closed forms on cell statistics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from brokenrct.errors import DenominatorDegenerateError, EmptyCellError
 from brokenrct.identify import CellParams
 from brokenrct.simulate import DgpConfig
 
@@ -238,3 +241,48 @@ def population_params() -> tuple[CellParams, float]:
     mean[0, 0] = ((p_c * s0_c * mean_y0_c + p_n * pop["surv0_n"] * mean_y0_n)
                   / (p_c * s0_c + p_n * pop["surv0_n"]))
     return CellParams(take=take, survival=survival, mean_y=mean), pop["truth"]
+
+
+def survivor_outcome_rows(arr):
+    """(z, d, y) of the survivors with an observed outcome."""
+    keep = (arr[:, 2] == 1) & (arr[:, 3] == 1) & (arr[:, 4] == 1)
+    return arr[keep, 0], arr[keep, 1], arr[keep, 5]
+
+
+def tsls_rows(arr):
+    """Row-level survivor-restricted IV ratio and sandwich SE: (tau, se, n)."""
+    z, d, y = survivor_outcome_rows(arr)
+    n = z.size
+    if n == 0 or z.min() == z.max():
+        raise EmptyCellError("both assignment arms must appear among observed survivors")
+    zc = z - z.mean()
+    dc = d - d.mean()
+    yc = y - y.mean()
+    first_stage = float(np.dot(zc, dc))
+    if first_stage == 0.0:
+        raise DenominatorDegenerateError("zero first stage among survivors")
+    tau = float(np.dot(zc, yc)) / first_stage
+    alpha = y.mean() - tau * d.mean()
+    resid = y - alpha - tau * d
+    variance = float(np.sum((zc * resid) ** 2)) / first_stage**2
+    return tau, math.sqrt(variance), n
+
+
+def itt_at_pp_rows(arr, method):
+    """Row-level survivor mean contrast by z, d or protocol: (tau, se, n)."""
+    z, d, y = survivor_outcome_rows(arr)
+    if method == "itt":
+        group = z
+    elif method == "at":
+        group = d
+    else:
+        keep = z == d
+        z, y = z[keep], y[keep]
+        group = z
+    y1, y0 = y[group == 1], y[group == 0]
+    if y1.size == 0 or y0.size == 0:
+        raise EmptyCellError(f"{method}: empty comparison group among observed survivors")
+    tau = float(y1.mean() - y0.mean())
+    var1 = float(y1.var(ddof=1)) if y1.size > 1 else 0.0
+    var0 = float(y0.var(ddof=1)) if y0.size > 1 else 0.0
+    return tau, math.sqrt(var1 / y1.size + var0 / y0.size), int(y1.size + y0.size)

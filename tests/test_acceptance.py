@@ -222,9 +222,10 @@ def replicate_estimates(case, size_index, n, reps, seed):
     for rep in range(reps):
         stream = np.random.SeedSequence(entropy=seed, spawn_key=(case, size_index, rep))
         arr, _ = generate(config, stream)
+        cells = cells_from_arrays(*arr.T)
         for j, name in enumerate(("pace", "tsls")):
             try:
-                taus[rep, j] = ESTIMATORS[name](arr)[0]
+                taus[rep, j] = ESTIMATORS[name](cells).tau
             except EstimationError:
                 pass
     return taus
