@@ -77,7 +77,7 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    arr = records if isinstance(records, np.ndarray) else as_array(records)
+    arr = as_array(records)
     z, d = arr[:, 0].astype(int), arr[:, 1].astype(int)
     miss_s = arr[:, 2] == 0
     surv = (arr[:, 2] == 1) & (arr[:, 3] == 1)

@@ -27,7 +27,7 @@ WEAK_INSTRUMENT_THRESHOLD = 0.02
 
 @dataclass(frozen=True)
 class ObservationRecord:
-    """One subject's observed tuple (z, d, delta_s, s, delta_y, y)."""
+    """One subject's observed tuple; None = missing; validated on ingestion."""
 
     z: int
     d: int
@@ -35,25 +35,6 @@ class ObservationRecord:
     s: int | None
     delta_y: int
     y: float | None
-
-    def validate(self, index: int = -1) -> None:
-        for name in ("z", "d", "delta_s", "delta_y"):
-            if getattr(self, name) not in (0, 1):
-                raise InvalidRecordError(index, f"{name} must be 0 or 1")
-        if self.delta_s == 0:
-            if self.s is not None:
-                raise InvalidRecordError(index, "s must be absent when delta_s = 0")
-            if self.delta_y != 0:
-                raise InvalidRecordError(index, "delta_y must be 0 when delta_s = 0")
-        else:
-            if self.s not in (0, 1):
-                raise InvalidRecordError(index, "s must be 0 or 1 when delta_s = 1")
-        survived = self.delta_s == 1 and self.s == 1
-        if self.delta_y == 1 and survived:
-            if self.y is None or not math.isfinite(self.y):
-                raise InvalidRecordError(index, "y must be a finite number when delta_y = 1 and s = 1")
-        elif self.y is not None:
-            raise InvalidRecordError(index, "y must be absent unless delta_y = 1 and s = 1")
 
 
 @dataclass(frozen=True)
@@ -226,53 +207,56 @@ def as_array(records) -> np.ndarray:
 
     Accepts a 2-D array-like in column order ``z, d, delta_s, s, delta_y, y``,
     a dataframe-like with those columns, or a sequence of
-    :class:`ObservationRecord`.
+    :class:`ObservationRecord`.  A 2-D float64 ndarray is returned as is, not
+    copied; nothing in the package writes to it.  An invalid record raises
+    :class:`InvalidRecordError` naming the first offending row and the first
+    rule that row breaks.
     """
-    if isinstance(records, np.ndarray) and records.ndim == 2:
-        arr = records.astype(float, copy=True)
-    elif hasattr(records, "columns"):
+    if hasattr(records, "columns"):
         missing = [c for c in COLUMNS if c not in set(records.columns)]
         if missing:
             raise SchemaError(f"missing columns: {', '.join(missing)}")
         arr = np.column_stack([np.asarray(records[c], dtype=float) for c in COLUMNS])
+    elif isinstance(records, np.ndarray):
+        arr = np.asarray(records, dtype=float)
     else:
         records = list(records)
         if records and not isinstance(records[0], ObservationRecord):
             arr = np.asarray(records, dtype=float)
-            if arr.ndim != 2:
-                raise SchemaError("expected a 2-D array of records")
         else:
-            arr = np.full((len(records), 6), np.nan)
-            for i, rec in enumerate(records):
-                arr[i] = (
-                    rec.z,
-                    rec.d,
-                    rec.delta_s,
-                    np.nan if rec.s is None else rec.s,
-                    rec.delta_y,
-                    np.nan if rec.y is None else rec.y,
-                )
+            arr = np.array([(r.z, r.d, r.delta_s, np.nan if r.s is None else r.s,
+                             r.delta_y, np.nan if r.y is None else r.y)
+                            for r in records], dtype=float).reshape(-1, 6)
+    if arr.ndim != 2:
+        raise SchemaError("expected a 2-D array of records")
     if arr.shape[1] != 6:
         raise SchemaError(f"expected 6 columns {COLUMNS}, got {arr.shape[1]}")
-    for i in range(arr.shape[0]):
-        record_from_row(arr[i]).validate(i)
+    _check_records(arr)
     return arr
 
 
-def record_from_row(row) -> ObservationRecord:
-    z, d, delta_s, s, delta_y, y = (float(v) for v in row)
-    return ObservationRecord(
-        z=int(z) if z in (0.0, 1.0) else -1,
-        d=int(d) if d in (0.0, 1.0) else -1,
-        delta_s=int(delta_s) if delta_s in (0.0, 1.0) else -1,
-        s=None if math.isnan(s) else (int(s) if s in (0.0, 1.0) else -1),
-        delta_y=int(delta_y) if delta_y in (0.0, 1.0) else -1,
-        y=None if math.isnan(y) else y,
-    )
+def _check_records(arr: np.ndarray) -> None:
+    """Raise :class:`InvalidRecordError` for the first row that breaks a rule.
 
-
-def records_from_array(arr) -> list[ObservationRecord]:
-    return [record_from_row(row) for row in np.asarray(arr, dtype=float)]
+    ``arr`` is (n, 6) in :data:`COLUMNS` order, nan for missing.  Each rule
+    is a mask over all rows; the error names the lowest offending row and,
+    of the rules that row breaks, the first in the order below.
+    """
+    z, d, delta_s, s, delta_y, y = arr.T
+    survivor_y = (delta_s == 1) & (s == 1) & (delta_y == 1)
+    rules = [(~np.isin(col, (0, 1)), f"{name} must be 0 or 1")
+             for name, col in (("z", z), ("d", d), ("delta_s", delta_s), ("delta_y", delta_y))]
+    rules += [
+        ((delta_s == 0) & ~np.isnan(s), "s must be absent when delta_s = 0"),
+        ((delta_s == 0) & (delta_y != 0), "delta_y must be 0 when delta_s = 0"),
+        ((delta_s == 1) & ~np.isin(s, (0, 1)), "s must be 0 or 1 when delta_s = 1"),
+        (survivor_y & ~np.isfinite(y), "y must be a finite number when delta_y = 1 and s = 1"),
+        (~survivor_y & ~np.isnan(y), "y must be absent unless delta_y = 1 and s = 1"),
+    ]
+    broken = [(int(mask.argmax()), order) for order, (mask, _) in enumerate(rules) if mask.any()]
+    if broken:
+        index, order = min(broken)
+        raise InvalidRecordError(index, rules[order][1])
 
 
 @dataclass
@@ -346,42 +330,57 @@ def warn_if_weak(report: ValidationReport) -> None:
 
 
 def read_csv(path) -> np.ndarray:
-    """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing)."""
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != list(COLUMNS):
-            raise SchemaError(f"{path}: header must be {','.join(COLUMNS)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 6:
-                raise SchemaError(f"{path}: expected 6 fields, got {len(row)}", line=lineno)
-            values = []
-            for name, fieldval in zip(COLUMNS, row):
-                text = fieldval.strip()
-                if text == "":
-                    if name not in ("s", "y"):
-                        raise SchemaError(f"{path}: column {name} may not be empty", line=lineno)
-                    values.append(np.nan)
+    """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing).
+
+    Errors name the first offending line: an invalid record on an earlier
+    line is reported before a parse error on a later one.
+    """
+    rows, lines = [], []
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            if [h.strip() for h in header] != list(COLUMNS):
+                raise SchemaError(f"{path}: header must be {','.join(COLUMNS)}", line=1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not f.strip() for f in row):
                     continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise SchemaError(f"{path}: column {name}: not a number: {text!r}",
-                                      line=lineno) from None
-            try:
-                record_from_row(values).validate(lineno)
-            except InvalidRecordError as exc:
-                raise SchemaError(f"{path}: {exc.rule}", line=lineno) from None
-            rows.append(values)
+                if len(row) != 6:
+                    raise SchemaError(f"{path}: expected 6 fields, got {len(row)}", line=lineno)
+                values = []
+                for name, fieldval in zip(COLUMNS, row):
+                    text = fieldval.strip()
+                    if text == "":
+                        if name not in ("s", "y"):
+                            raise SchemaError(f"{path}: column {name} may not be empty",
+                                              line=lineno)
+                        values.append(np.nan)
+                        continue
+                    try:
+                        values.append(float(text))
+                    except ValueError:
+                        raise SchemaError(f"{path}: column {name}: not a number: {text!r}",
+                                          line=lineno) from None
+                rows.append(values)
+                lines.append(lineno)
+    except SchemaError:
+        _check_csv_rows(path, rows, lines)
+        raise
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return _check_csv_rows(path, rows, lines)
+
+
+def _check_csv_rows(path, rows, lines) -> np.ndarray:
+    """Parsed rows as an (n, 6) array; a SchemaError at the line of the first invalid one."""
+    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(COLUMNS))
+    try:
+        _check_records(arr)
+    except InvalidRecordError as exc:
+        raise SchemaError(f"{path}: {exc.rule}", line=lines[exc.index]) from None
+    return arr
 
 
 def write_csv(path, arr) -> None:

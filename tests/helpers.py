@@ -4,7 +4,8 @@ The oracles here are independent of the code paths they check: cell
 parameters are derived by enumerating the latent strata of the benchmark
 generator, and the employment-study parameters come from the published
 cell table, entered as plain constants.  The row-level comparators are
-the reference for the package's closed forms on cell statistics.
+the reference for the package's closed forms on cell statistics, and the
+row-level record check is the reference for the column-wise one.
 """
 
 import math
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from brokenrct.errors import DenominatorDegenerateError, EmptyCellError
+from brokenrct.errors import DenominatorDegenerateError, EmptyCellError, InvalidRecordError
 from brokenrct.identify import CellParams
+from brokenrct.records import ObservationRecord
 from brokenrct.simulate import DgpConfig
 
 # Employment-study cell values per follow-up year, cells keyed (z, d):
@@ -286,3 +288,47 @@ def itt_at_pp_rows(arr, method):
     var1 = float(y1.var(ddof=1)) if y1.size > 1 else 0.0
     var0 = float(y0.var(ddof=1)) if y0.size > 1 else 0.0
     return tau, math.sqrt(var1 / y1.size + var0 / y0.size), int(y1.size + y0.size)
+
+
+def record_from_row(row) -> ObservationRecord:
+    """A record from one float row: nan = missing, any non-binary flag = -1."""
+    z, d, delta_s, s, delta_y, y = (float(v) for v in row)
+    return ObservationRecord(
+        z=int(z) if z in (0.0, 1.0) else -1,
+        d=int(d) if d in (0.0, 1.0) else -1,
+        delta_s=int(delta_s) if delta_s in (0.0, 1.0) else -1,
+        s=None if math.isnan(s) else (int(s) if s in (0.0, 1.0) else -1),
+        delta_y=int(delta_y) if delta_y in (0.0, 1.0) else -1,
+        y=None if math.isnan(y) else y,
+    )
+
+
+def records_from_array(arr) -> list[ObservationRecord]:
+    return [record_from_row(row) for row in np.asarray(arr, dtype=float)]
+
+
+def validate_record(rec: ObservationRecord, index: int = -1) -> None:
+    """Row-level record rules, checked in order; the first broken one raises."""
+    for name in ("z", "d", "delta_s", "delta_y"):
+        if getattr(rec, name) not in (0, 1):
+            raise InvalidRecordError(index, f"{name} must be 0 or 1")
+    if rec.delta_s == 0:
+        if rec.s is not None:
+            raise InvalidRecordError(index, "s must be absent when delta_s = 0")
+        if rec.delta_y != 0:
+            raise InvalidRecordError(index, "delta_y must be 0 when delta_s = 0")
+    else:
+        if rec.s not in (0, 1):
+            raise InvalidRecordError(index, "s must be 0 or 1 when delta_s = 1")
+    survived = rec.delta_s == 1 and rec.s == 1
+    if rec.delta_y == 1 and survived:
+        if rec.y is None or not math.isfinite(rec.y):
+            raise InvalidRecordError(index, "y must be a finite number when delta_y = 1 and s = 1")
+    elif rec.y is not None:
+        raise InvalidRecordError(index, "y must be absent unless delta_y = 1 and s = 1")
+
+
+def validate_rows(arr) -> None:
+    """Row-by-row check of an (n, 6) array; raises at the first invalid row."""
+    for i, row in enumerate(np.asarray(arr, dtype=float)):
+        validate_record(record_from_row(row), i)

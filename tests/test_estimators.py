@@ -4,10 +4,11 @@ import pytest
 from brokenrct.comparators import itt_at_pp, tsls_survivors
 from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.estimators import PaceEstimator, SurvivorContrast, TwoStageLeastSquares
-from brokenrct.records import ingest, records_from_array
+from brokenrct.imputation import impute_within_cells
+from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import delete_outcomes_mcar
+from helpers import delete_outcomes_mcar, delete_survival_mcar, records_from_array
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +52,17 @@ class TestPaceEstimatorFit:
         assert est.strata_proportions_.p_c > 0
         assert est.validation_.ok
 
-    def test_accepts_records_and_frames(self, sample):
-        pd = pytest.importorskip("pandas")
+    def test_accepts_records(self, sample):
         base = PaceEstimator().fit(sample).tau_
         as_records = PaceEstimator().fit(records_from_array(sample)).tau_
+        assert base == as_records
+
+    def test_accepts_frames(self, sample):
+        pd = pytest.importorskip("pandas")
+        base = PaceEstimator().fit(sample).tau_
         frame = pd.DataFrame(sample, columns=["z", "d", "delta_s", "s", "delta_y", "y"])
         as_frame = PaceEstimator().fit(frame).tau_
-        assert base == as_records == as_frame
+        assert base == as_frame
 
     def test_unfitted_access_raises(self):
         with pytest.raises(RuntimeError):
@@ -101,3 +106,14 @@ class TestComparatorWrappers:
         expected = itt_at_pp(sample, method)
         assert est.tau_ == expected.tau
         assert est.se_ == expected.se
+
+
+def test_callers_array_is_never_modified(sample):
+    # as_array hands a float64 array through without a copy
+    arr = delete_survival_mcar(delete_outcomes_mcar(sample, 0.2, seed=8), 0.1, seed=9)
+    before = arr.tobytes()
+    ingest(arr)
+    tsls_survivors(arr)
+    impute_within_cells(arr, 3, 0)
+    PaceEstimator(impute=3).fit(arr)
+    assert arr.dtype == np.float64 and arr.tobytes() == before

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from brokenrct.errors import NoDonorsError
+from brokenrct.errors import InvalidRecordError, NoDonorsError
 from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.imputation import (
     ImputedAnalysis,
@@ -85,6 +85,19 @@ class TestImputer:
         ]
         with pytest.raises(NoDonorsError):
             impute_within_cells(np.asarray(rows, dtype=float), m=2, seed=0)
+
+    def test_invalid_array_is_rejected(self):
+        rows = [
+            (1, 1, 1, 1, 1, np.nan),       # observed survivor without an outcome
+            (1, 1, 0, np.nan, 0, np.nan),  # survival missing in the same cell
+            (0, 0, 1, 1, 1, 2.0),
+            (1, 0, 1, 1, 1, 1.0),
+            (0, 1, 1, 1, 1, 3.0),
+        ]
+        with pytest.raises(InvalidRecordError) as excinfo:
+            impute_within_cells(np.asarray(rows, dtype=float), m=2, seed=0)
+        assert excinfo.value.index == 0
+        assert excinfo.value.rule == "y must be a finite number when delta_y = 1 and s = 1"
 
     def test_mcar_pooled_estimate_consistent_with_complete_data(self):
         arr, _ = generate(DgpConfig(n=6000, case=1), seed=54)

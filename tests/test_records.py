@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokenrct.errors import InvalidRecordError, SchemaError
 from brokenrct.estimation import fit_cell_params
@@ -15,7 +19,7 @@ from brokenrct.records import (
 )
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import case1_params_oracle
+from helpers import case1_params_oracle, records_from_array, validate_rows
 
 
 def rec(z, d, delta_s, s, delta_y, y):
@@ -111,6 +115,73 @@ def test_invalid_records_are_rejected_with_index_and_rule():
         ingest([rec(1, 1, 1, 0, 1, 3.0)])  # y present though s = 0
     with pytest.raises(InvalidRecordError):
         ingest([rec(2, 1, 1, 1, 1, 3.0)])  # nonbinary z
+
+
+FIELD_VALUES = (0.0, 1.0, 2.0, -1.0, 0.5, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def corrupted_arrays(draw):
+    """(n, 6) arrays of 1-40 rows: valid records, a few fields then corrupted.
+
+    Rows start as valid records of every kind.  One row may be replaced by
+    six fields from FIELD_VALUES or the finite floats, and up to four single
+    fields are flipped (v -> 1 - v) or overwritten from FIELD_VALUES, so
+    every rule, ties between rules within a row and later invalid rows all
+    come up.
+    """
+    field = st.one_of(st.sampled_from(FIELD_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    n = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(n):
+        z, d = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        kind = draw(st.sampled_from(("observed", "missing_y", "dead", "missing_s")))
+        rows.append({"observed": [z, d, 1, 1, 1, draw(field.filter(math.isfinite))],
+                     "missing_y": [z, d, 1, 1, 0, math.nan],
+                     "dead": [z, d, 1, 0, draw(st.integers(0, 1)), math.nan],
+                     "missing_s": [z, d, 0, math.nan, 0, math.nan]}[kind])
+    arr = np.asarray(rows, dtype=float)
+    row = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        arr[draw(row)] = [draw(field) for _ in range(6)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(row), draw(st.integers(0, 5))
+        arr[i, j] = draw(st.one_of(st.just(1.0 - arr[i, j]), st.sampled_from(FIELD_VALUES)))
+    return arr
+
+
+def first_invalid(check, data):
+    try:
+        check(data)
+    except InvalidRecordError as exc:
+        return exc.index, exc.rule
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(arr=corrupted_arrays())
+def test_column_check_matches_row_reference(arr):
+    expected = first_invalid(validate_rows, arr)
+    assert first_invalid(as_array, arr) == expected
+    assert first_invalid(as_array, records_from_array(arr)) == expected
+    if expected is None:
+        assert as_array(arr) is arr
+
+
+def test_csv_invalid_record_before_parse_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("z,d,delta_s,s,delta_y,y\n1,1,1,1,1,2.0\n\n1,1,0,,1,\n1,1,1,1,1,oops\n")
+    with pytest.raises(SchemaError) as excinfo:
+        read_csv(path)
+    assert excinfo.value.line == 4
+    assert "delta_y must be 0 when delta_s = 0" in str(excinfo.value)
+
+    path.write_text("z,d,delta_s,s,delta_y,y\n1,1,1,1,1,2.0\n\n1,1,1,1,1,oops\n1,1,0,,1,\n")
+    with pytest.raises(SchemaError) as excinfo:
+        read_csv(path)
+    assert excinfo.value.line == 4
+    assert "not a number" in str(excinfo.value)
 
 
 def test_empty_input_rejected():
