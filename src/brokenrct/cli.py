@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .comparators import METHODS, estimate
 from .errors import BrokenRctError, EstimationError, SchemaError
-from .estimation import estimate_pace, fit_cell_params
+from .estimation import SCALES, estimate_pace, fit_cell_params
 from .identify import complier_survival, strata_proportions
 from .imputation import impute_within_cells, pool_estimates, read_completed_dir
 from .records import cells_from_arrays, read_csv, validate_design
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--input", required=True, help="dataset CSV (z,d,delta_s,s,delta_y,y)")
     analyze.add_argument("--method", action="append", choices=("pace",) + METHODS,
                          help="estimator to run (repeatable; default: pace)")
-    analyze.add_argument("--scale", choices=("identity", "logit"), default="identity",
+    analyze.add_argument("--scale", choices=SCALES, default="identity",
                          help="estimand scale for the pace method")
     analyze.add_argument("--level", type=float, default=0.95)
     analyze.add_argument("--impute", type=int, metavar="M",
@@ -132,15 +132,10 @@ def cmd_analyze(args) -> int:
         for method in methods:
             if datasets is None:
                 est = estimate(cells, method, args.level, args.scale)
-                point = est.tau
             else:
-                per_dataset = []
-                for dataset in datasets:
-                    one = estimate(dataset, method, args.level, args.scale)
-                    per_dataset.append((one.tau, one.se))
-                est = pool_estimates(per_dataset, level=args.level)
-                point = est.point
-            results[method] = {"estimate": point, "se": est.se, "ci_lower": est.ci_lower,
+                est = pool_estimates([estimate(dataset, method, args.level, args.scale)
+                                      for dataset in datasets], level=args.level)
+            results[method] = {"estimate": est.tau, "se": est.se, "ci_lower": est.ci_lower,
                                "ci_upper": est.ci_upper, "p_value": est.p_value}
     caught.extend(report.warnings)
     caught.extend(str(w.message) for w in captured)
@@ -300,7 +295,7 @@ def cmd_effect_series(args) -> int:
                 s1_complier=survival.s1_given_c,
                 s0_complier=survival.s0_given_c,
                 survival_effect=survival.effect,
-                tau=est.tau, se=est.se_tau,
+                tau=est.tau, se=est.se,
                 ci_lower=est.ci_lower, ci_upper=est.ci_upper,
                 status="ok",
             )

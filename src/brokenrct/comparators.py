@@ -18,13 +18,7 @@ import math
 import numpy as np
 
 from .errors import DenominatorDegenerateError, EmptyCellError
-from .estimation import (
-    Estimate,
-    estimate_pace,
-    estimate_pace_logit,
-    fit_cell_params,
-    normal_interval,
-)
+from .estimation import Estimate, estimate_pace, fit_cell_params, normal_interval
 from .records import ingest, pool_moments
 
 METHODS = ("tsls", "itt", "at", "pp")
@@ -90,11 +84,10 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
 
 
 def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -> Estimate:
-    """The effect by ``method``: "pace" (on ``scale``) or one of :data:`METHODS`."""
+    """The effect by ``method``: "pace" (a PaceEstimate on ``scale``) or one of :data:`METHODS`."""
     if method == "pace":
         params, cov = fit_cell_params(cells)
-        pace = estimate_pace_logit if scale == "logit" else estimate_pace
-        return pace(params, cov, level=level, n=cells.n_records).as_estimate()
+        return estimate_pace(params, cov, level=level, n=cells.n_records, scale=scale)
     if method == "tsls":
         return tsls_survivors(cells, level=level)
     return itt_at_pp(cells, method, level=level)

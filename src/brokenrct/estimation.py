@@ -23,6 +23,8 @@ from .errors import (
 from .identify import CellParams, pace_denominators, pace_identify
 from .records import CellStatistics
 
+SCALES = ("identity", "logit")
+
 
 @dataclass(frozen=True)
 class CellCovariance:
@@ -36,38 +38,6 @@ class CellCovariance:
     @classmethod
     def zero(cls) -> "CellCovariance":
         return cls(diagonal=np.zeros(11))
-
-
-@dataclass(frozen=True)
-class PaceEstimate:
-    """Point estimates, standard errors and a confidence interval.
-
-    On the identity scale ``mu1``/``mu0``/``tau`` are outcome-scale values.
-    On the logit scale they are log-odds (``tau`` is the log odds ratio)
-    and the standard errors apply to that scale.
-    """
-
-    mu1: float
-    mu0: float
-    tau: float
-    se_mu1: float
-    se_mu0: float
-    se_tau: float
-    ci_lower: float
-    ci_upper: float
-    level: float
-    p_value: float
-    scale: str = "identity"
-    n: int = 0
-
-    @property
-    def ci(self) -> tuple[float, float]:
-        return (self.ci_lower, self.ci_upper)
-
-    def as_estimate(self) -> "Estimate":
-        """The effect ``tau`` as the :class:`Estimate` of method "pace"."""
-        return Estimate("pace", self.tau, self.se_tau, self.ci_lower, self.ci_upper,
-                        self.p_value, level=self.level, n=self.n)
 
 
 @dataclass(frozen=True)
@@ -91,6 +61,22 @@ class Estimate:
     @property
     def ci(self) -> tuple[float, float]:
         return (self.ci_lower, self.ci_upper)
+
+
+@dataclass(frozen=True)
+class PaceEstimate(Estimate):
+    """The main estimator's :class:`Estimate`, with the two arm means.
+
+    On the identity scale ``mu1``/``mu0``/``tau`` are outcome-scale values.
+    On the logit scale they are log-odds (``tau`` is the log odds ratio)
+    and the standard errors apply to that scale.
+    """
+
+    mu1: float
+    mu0: float
+    se_mu1: float
+    se_mu0: float
+    scale: str = "identity"
 
 
 def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
@@ -187,51 +173,38 @@ def gradient_mu(params: CellParams, arm: int) -> np.ndarray:
     return grad
 
 
-def estimate_pace(params: CellParams, cov: CellCovariance,
-                  level: float = 0.95, n: int = 0) -> PaceEstimate:
-    """Point estimates with delta-method standard errors and a normal CI."""
+def estimate_pace(params: CellParams, cov: CellCovariance, level: float = 0.95,
+                  n: int = 0, scale: str = "identity") -> PaceEstimate:
+    """Point estimates with delta-method standard errors and a normal CI.
+
+    ``scale`` is "identity" for the mean difference or "logit" for the log
+    odds ratio of a binary outcome.  The gradient of ``logit(mu)`` is the
+    identity-scale gradient divided by ``mu * (1 - mu)``, so the same
+    diagonal covariance propagates through.
+    """
+    if scale not in SCALES:
+        raise ValueError(f"scale must be 'identity' or 'logit', got {scale!r}")
     mu1, mu0, tau = pace_identify(params)
     grad1 = gradient_mu(params, 1)
     grad0 = gradient_mu(params, 0)
-    se_mu1 = math.sqrt(cov.quadratic_form(grad1))
-    se_mu0 = math.sqrt(cov.quadratic_form(grad0))
-    se_tau = math.sqrt(cov.quadratic_form(grad1 - grad0))
-    ci_lower, ci_upper, p_value = normal_interval(tau, se_tau, level)
+    if scale == "logit":
+        for name, mu in (("mu1", mu1), ("mu0", mu0)):
+            if not 0.0 < mu < 1.0:
+                raise MuOutOfUnitIntervalError(
+                    f"{name} = {mu:.4f} is outside (0, 1); the log-odds estimand "
+                    "requires a binary outcome and interior means"
+                )
+        grad1 = grad1 / (mu1 * (1.0 - mu1))
+        grad0 = grad0 / (mu0 * (1.0 - mu0))
+        mu1, mu0 = logit(mu1), logit(mu0)
+        tau = mu1 - mu0
+    se = math.sqrt(cov.quadratic_form(grad1 - grad0))
     return PaceEstimate(
-        mu1=mu1, mu0=mu0, tau=tau,
-        se_mu1=se_mu1, se_mu0=se_mu0, se_tau=se_tau,
-        ci_lower=ci_lower, ci_upper=ci_upper,
-        level=level, p_value=p_value, scale="identity", n=n,
-    )
-
-
-def estimate_pace_logit(params: CellParams, cov: CellCovariance,
-                        level: float = 0.95, n: int = 0) -> PaceEstimate:
-    """Log-odds-ratio estimand for binary outcomes, by the chain rule.
-
-    The gradient of ``logit(mu)`` is the identity-scale gradient divided by
-    ``mu * (1 - mu)``, so the same diagonal covariance propagates through.
-    """
-    mu1, mu0, _ = pace_identify(params)
-    for name, mu in (("mu1", mu1), ("mu0", mu0)):
-        if not 0.0 < mu < 1.0:
-            raise MuOutOfUnitIntervalError(
-                f"{name} = {mu:.4f} is outside (0, 1); the log-odds estimand "
-                "requires a binary outcome and interior means"
-            )
-    lmu1, lmu0 = logit(mu1), logit(mu0)
-    tau = lmu1 - lmu0
-    grad1 = gradient_mu(params, 1) / (mu1 * (1.0 - mu1))
-    grad0 = gradient_mu(params, 0) / (mu0 * (1.0 - mu0))
-    se_mu1 = math.sqrt(cov.quadratic_form(grad1))
-    se_mu0 = math.sqrt(cov.quadratic_form(grad0))
-    se_tau = math.sqrt(cov.quadratic_form(grad1 - grad0))
-    ci_lower, ci_upper, p_value = normal_interval(tau, se_tau, level)
-    return PaceEstimate(
-        mu1=lmu1, mu0=lmu0, tau=tau,
-        se_mu1=se_mu1, se_mu0=se_mu0, se_tau=se_tau,
-        ci_lower=ci_lower, ci_upper=ci_upper,
-        level=level, p_value=p_value, scale="logit", n=n,
+        "pace", tau, se, *normal_interval(tau, se, level), level=level, n=n,
+        mu1=mu1, mu0=mu0,
+        se_mu1=math.sqrt(cov.quadratic_form(grad1)),
+        se_mu0=math.sqrt(cov.quadratic_form(grad0)),
+        scale=scale,
     )
 
 

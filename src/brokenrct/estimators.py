@@ -12,12 +12,16 @@ from __future__ import annotations
 import inspect
 
 from . import comparators, identify, imputation
-from .estimation import estimate_pace, estimate_pace_logit, fit_cell_params
+from .estimation import estimate_pace, fit_cell_params
 from .records import as_array, cells_from_arrays, validate_design, warn_if_weak
 
 
 class BaseReportingEstimator:
-    """get_params/set_params following the scikit-learn contract."""
+    """get_params/set_params following the scikit-learn contract.
+
+    ``fit`` stores the reported :class:`~brokenrct.estimation.Estimate` (or
+    pooled estimate) as ``result_``; the fitted accessors read it.
+    """
 
     @classmethod
     def _param_names(cls):
@@ -43,8 +47,28 @@ class BaseReportingEstimator:
         return f"{type(self).__name__}({args})"
 
     def _check_fitted(self):
-        if not getattr(self, "_fitted", False):
+        if not hasattr(self, "result_"):
             raise RuntimeError(f"{type(self).__name__} has not been fitted")
+
+    @property
+    def tau_(self) -> float:
+        self._check_fitted()
+        return self.result_.tau
+
+    @property
+    def se_(self) -> float:
+        self._check_fitted()
+        return self.result_.se
+
+    @property
+    def conf_int_(self) -> tuple[float, float]:
+        self._check_fitted()
+        return self.result_.ci
+
+    @property
+    def p_value_(self) -> float:
+        self._check_fitted()
+        return self.result_.p_value
 
 
 class PaceEstimator(BaseReportingEstimator):
@@ -61,6 +85,10 @@ class PaceEstimator(BaseReportingEstimator):
     seed : generator seed for imputation draws.
     warn_weak_instrument : emit a warning when the first-stage difference is
         below the validation threshold.
+
+    ``fit`` sets ``estimate_`` (the complete-case ``PaceEstimate``),
+    ``pooled_`` (the ``PooledEstimate`` with ``impute``, else None) and
+    ``result_``, the one of the two that the accessors report.
     """
 
     def __init__(self, level: float = 0.95, scale: str = "identity",
@@ -73,71 +101,28 @@ class PaceEstimator(BaseReportingEstimator):
         self.warn_weak_instrument = warn_weak_instrument
 
     def fit(self, X, y=None):
-        if self.scale not in ("identity", "logit"):
-            raise ValueError("scale must be 'identity' or 'logit'")
         arr = as_array(X)
         self.cells_ = cells_from_arrays(*arr.T)
         self.validation_ = validate_design(self.cells_)
         if self.warn_weak_instrument:
             warn_if_weak(self.validation_)
         self.params_, self.covariance_ = fit_cell_params(self.cells_)
-        estimator = estimate_pace_logit if self.scale == "logit" else estimate_pace
-        self.estimate_ = estimator(self.params_, self.covariance_,
-                                   level=self.level, n=self.cells_.n_records)
+        self.estimate_ = estimate_pace(self.params_, self.covariance_, level=self.level,
+                                       n=self.cells_.n_records, scale=self.scale)
         self.strata_proportions_ = identify.strata_proportions(self.params_)
         self.complier_survival_ = identify.complier_survival(self.params_)
         self.pooled_ = None
         if self.impute:
-            per_dataset = []
-            for dataset in imputation.impute_within_cells(arr, self.impute, self.seed):
-                est = comparators.estimate(cells_from_arrays(*dataset.T), "pace",
-                                           self.level, self.scale)
-                per_dataset.append((est.tau, est.se))
-            self.pooled_ = imputation.pool_estimates(per_dataset, level=self.level)
-        self._fitted = True
+            datasets = imputation.impute_within_cells(arr, self.impute, self.seed)
+            self.pooled_ = imputation.pool_estimates(
+                [comparators.estimate(cells_from_arrays(*dataset.T), "pace",
+                                      self.level, self.scale) for dataset in datasets],
+                level=self.level)
+        self.result_ = self.pooled_ or self.estimate_
         return self
 
-    @property
-    def tau_(self) -> float:
-        self._check_fitted()
-        return self.pooled_.point if self.pooled_ is not None else self.estimate_.tau
 
-    @property
-    def se_(self) -> float:
-        self._check_fitted()
-        return self.pooled_.se if self.pooled_ is not None else self.estimate_.se_tau
-
-    @property
-    def conf_int_(self) -> tuple[float, float]:
-        self._check_fitted()
-        return self.pooled_.ci if self.pooled_ is not None else self.estimate_.ci
-
-    @property
-    def p_value_(self) -> float:
-        self._check_fitted()
-        return self.pooled_.p_value if self.pooled_ is not None else self.estimate_.p_value
-
-
-class _ComparatorEstimator(BaseReportingEstimator):
-    """Fitted-result accessors shared by the comparator estimators."""
-
-    @property
-    def tau_(self):
-        self._check_fitted()
-        return self.result_.tau
-
-    @property
-    def se_(self):
-        self._check_fitted()
-        return self.result_.se
-
-    @property
-    def conf_int_(self):
-        self._check_fitted()
-        return self.result_.ci
-
-
-class TwoStageLeastSquares(_ComparatorEstimator):
+class TwoStageLeastSquares(BaseReportingEstimator):
     """Survivor-restricted just-identified IV comparator."""
 
     def __init__(self, level: float = 0.95):
@@ -145,11 +130,10 @@ class TwoStageLeastSquares(_ComparatorEstimator):
 
     def fit(self, X, y=None):
         self.result_ = comparators.tsls_survivors(X, level=self.level)
-        self._fitted = True
         return self
 
 
-class SurvivorContrast(_ComparatorEstimator):
+class SurvivorContrast(BaseReportingEstimator):
     """Naive survivor-restricted contrast: method in {"itt", "at", "pp"}."""
 
     def __init__(self, method: str = "itt", level: float = 0.95):
@@ -158,5 +142,4 @@ class SurvivorContrast(_ComparatorEstimator):
 
     def fit(self, X, y=None):
         self.result_ = comparators.itt_at_pp(X, self.method, level=self.level)
-        self._fitted = True
         return self

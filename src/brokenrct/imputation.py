@@ -43,18 +43,19 @@ class ImputedAnalysis:
 
 @dataclass(frozen=True)
 class PooledEstimate:
-    """Combined estimate over completed datasets.
+    """Combined estimate over completed datasets, read like an :class:`Estimate`.
 
     Total variance is the mean within-dataset variance plus the
-    between-dataset variance inflated by (1 + 1/m).
+    between-dataset variance inflated by (1 + 1/m).  There is no single
+    ``n``: a comparator's record count varies across completed datasets.
     """
 
-    point: float
+    tau: float
     se: float
     ci_lower: float
     ci_upper: float
-    level: float
     p_value: float
+    level: float
     m: int
     within: float
     between: float
@@ -133,30 +134,24 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
 def rubin_pool(analysis: ImputedAnalysis, level: float = 0.95) -> PooledEstimate:
     """Pool per-dataset analyses; requires at least two datasets.
 
-    The pooled point is the mean of the estimates; the interval uses normal
+    The pooled ``tau`` is the mean of the estimates; the interval uses normal
     quantiles on the square root of the total variance (no small-sample
     degrees-of-freedom refinement).
     """
     if analysis.m < 2:
         raise ValueError("pooling requires at least m = 2 completed datasets")
-    point = float(analysis.estimates.mean())
+    tau = float(analysis.estimates.mean())
     within = float(analysis.within_var.mean())
     between = float(analysis.estimates.var(ddof=1))
-    total = within + (1.0 + 1.0 / analysis.m) * between
-    se = math.sqrt(total)
-    ci_lower, ci_upper, p_value = normal_interval(point, se, level)
-    return PooledEstimate(
-        point=point, se=se, ci_lower=ci_lower, ci_upper=ci_upper,
-        level=level, p_value=p_value,
-        m=analysis.m, within=within, between=between,
-    )
+    se = math.sqrt(within + (1.0 + 1.0 / analysis.m) * between)
+    return PooledEstimate(tau, se, *normal_interval(tau, se, level), level=level,
+                          m=analysis.m, within=within, between=between)
 
 
-def pool_estimates(per_dataset, level: float = 0.95) -> PooledEstimate:
-    """Pool (estimate, se) pairs from analyses of completed datasets."""
-    estimates = np.array([est for est, _ in per_dataset], dtype=float)
-    within = np.array([se**2 for _, se in per_dataset], dtype=float)
-    return rubin_pool(ImputedAnalysis(estimates=estimates, within_var=within), level)
+def pool_estimates(estimates, level: float = 0.95) -> PooledEstimate:
+    """Pool the :class:`Estimate` of each completed dataset."""
+    return rubin_pool(ImputedAnalysis(estimates=[est.tau for est in estimates],
+                                      within_var=[est.se**2 for est in estimates]), level)
 
 
 def read_completed_dir(path) -> list[np.ndarray]:

@@ -277,8 +277,8 @@ class ValidationReport:
         return not self.failures
 
 
-def validate_design(records, weak_threshold: float = WEAK_INSTRUMENT_THRESHOLD,
-                    require_both_arms: bool = True) -> ValidationReport:
+def validate_design(records,
+                    weak_threshold: float = WEAK_INSTRUMENT_THRESHOLD) -> ValidationReport:
     """Report-only design checks; never raises on bad designs.
 
     ``records`` is anything :func:`ingest` accepts, :class:`CellStatistics`
@@ -288,7 +288,7 @@ def validate_design(records, weak_threshold: float = WEAK_INSTRUMENT_THRESHOLD,
     failures, warns = [], []
     n1, n0 = cells.arm_count(1), cells.arm_count(0)
     arms = n1 > 0 and n0 > 0
-    if not arms and require_both_arms:
+    if not arms:
         failures.append("single assignment arm")
     first_stage = None
     weak = False

@@ -193,7 +193,7 @@ def _run_pace(cells):
         raise EstimationError(
             f"mixing denominator below {DENOMINATOR_WARN_TOLERANCE:g} in this replication"
         )
-    return estimate_pace(params, cov, level=0.95, n=cells.n_records).as_estimate()
+    return estimate_pace(params, cov, level=0.95, n=cells.n_records)
 
 
 #: study estimators by name: each maps one replication's cells to an Estimate

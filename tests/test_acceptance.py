@@ -30,7 +30,6 @@ from brokenrct.cli import main
 from brokenrct.errors import EstimationError
 from brokenrct.estimation import (
     estimate_pace,
-    estimate_pace_logit,
     fit_cell_params,
     gradient_mu,
 )
@@ -270,7 +269,7 @@ def test_criterion_5_sd_dominance_property(table2):
 def test_criterion_6_delta_method_vs_bootstrap():
     arr, _ = generate(DgpConfig(n=8000, case=1), seed=606)
     params, cov = fit(arr)
-    delta_se = estimate_pace(params, cov).se_tau
+    delta_se = estimate_pace(params, cov).se
     rng = np.random.default_rng(99)
     taus = []
     for _ in range(1000):
@@ -285,12 +284,12 @@ def test_criterion_6_delta_method_vs_bootstrap():
     rb = np.random.default_rng(55)
     arr2[keep, 5] = (rb.random(int(keep.sum())) < (0.5 + 0.25 * arr2[keep, 1])).astype(float)
     params2, cov2 = fit(arr2)
-    delta_se2 = estimate_pace_logit(params2, cov2).se_tau
+    delta_se2 = estimate_pace(params2, cov2, scale="logit").se
     taus2 = []
     for _ in range(1000):
         idx = rng.integers(0, 8000, 8000)
         p, c = fit(arr2[idx])
-        taus2.append(estimate_pace_logit(p, c).tau)
+        taus2.append(estimate_pace(p, c, scale="logit").tau)
     boot_se2 = float(np.std(taus2, ddof=1))
     logit_ok = abs(delta_se2 - boot_se2) / boot_se2 <= 0.10
 
@@ -303,11 +302,11 @@ def test_criterion_6_delta_method_vs_bootstrap():
 def test_criterion_7_pooling_exactness():
     pooled = rubin_pool(ImputedAnalysis(estimates=[1.0, 3.0], within_var=[0.0, 0.0]))
     hand_total = 0.0 + (1.0 + 1.0 / 2.0) * 2.0
-    exact_a = (abs(pooled.point - 2.0) <= 1e-12
+    exact_a = (abs(pooled.tau - 2.0) <= 1e-12
                and abs(pooled.total_var - hand_total) <= 1e-12)
 
     pooled2 = rubin_pool(ImputedAnalysis(estimates=[5.0] * 4, within_var=[0.04] * 4))
-    exact_b = abs(pooled2.point - 5.0) <= 1e-12 and abs(pooled2.se - 0.2) <= 1e-12
+    exact_b = abs(pooled2.tau - 5.0) <= 1e-12 and abs(pooled2.se - 0.2) <= 1e-12
 
     rng = np.random.default_rng(7)
     estimates, within = rng.normal(size=8), rng.random(8)
@@ -317,7 +316,7 @@ def test_criterion_7_pooling_exactness():
         order = rng.permutation(8)
         other = rubin_pool(ImputedAnalysis(estimates=estimates[order],
                                            within_var=within[order]))
-        invariant &= (abs(other.point - base.point) <= 1e-12
+        invariant &= (abs(other.tau - base.tau) <= 1e-12
                       and abs(other.se - base.se) <= 1e-12)
     ok = exact_a and exact_b and invariant
     report(7, ok, f"toy totals exact={exact_a and exact_b}, permutation invariant={invariant}")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from brokenrct.cli import main
-from brokenrct.records import write_csv
+from brokenrct.estimators import PaceEstimator
+from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import build_study_dataset, delete_outcomes_mcar
+from helpers import build_study_dataset, delete_outcomes_mcar, delete_survival_mcar
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,23 @@ class TestAnalyze:
         assert out_a == out_b
         payload = json.loads(out_a)
         assert payload["mode"] == "impute m=5 seed=11"
+
+    def test_impute_matches_estimator_pooling(self, capsys, tmp_path):
+        # the CLI and PaceEstimator pool the same per-dataset estimates
+        arr, _ = generate(DgpConfig(n=5000, case=2), 7)
+        damaged = delete_survival_mcar(delete_outcomes_mcar(arr, 0.15, seed=1), 0.05, seed=2)
+        path = tmp_path / "mcar.csv"
+        write_csv(path, damaged)
+        code, out, _ = run_cli(capsys, [
+            "analyze", "--input", str(path), "--impute", "5", "--seed", "9",
+            "--format", "json"])
+        assert code == 0
+        pace = json.loads(out)["estimates"]["pace"]
+        est = PaceEstimator(impute=5, seed=9).fit(read_csv(path))
+        assert pace["estimate"] == est.tau_
+        assert pace["se"] == est.se_
+        assert (pace["ci_lower"], pace["ci_upper"]) == est.conf_int_
+        assert pace["p_value"] == est.p_value_
 
     def test_impute_requires_m_at_least_two(self, capsys, study_csv):
         code, _, err = run_cli(capsys, [

@@ -85,7 +85,7 @@ def test_estimate_dispatches_every_method():
     cells = ingest(generate(DgpConfig(n=3000, case=2), seed=46)[0])
     params, cov = fit_cell_params(cells)
     pace = estimate_pace(params, cov, level=0.9, n=cells.n_records)
-    assert estimate(cells, "pace", level=0.9) == pace.as_estimate()
+    assert estimate(cells, "pace", level=0.9) == pace
     assert estimate(cells, "tsls", level=0.9) == tsls_survivors(cells, level=0.9)
     for method in ("itt", "at", "pp"):
         assert estimate(cells, method, level=0.9) == itt_at_pp(cells, method, level=0.9)
@@ -151,7 +151,7 @@ class TestNaiveContrasts:
         params, cov = fit_cell_params(ingest(arr))
         pace = estimate_pace(params, cov)
         for method in ("itt", "at", "pp"):
-            assert itt_at_pp(arr, method).se < pace.se_tau
+            assert itt_at_pp(arr, method).se < pace.se
 
 
 @st.composite

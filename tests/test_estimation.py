@@ -11,7 +11,6 @@ from brokenrct.errors import (
 from brokenrct.estimation import (
     CellCovariance,
     estimate_pace,
-    estimate_pace_logit,
     fit_cell_params,
     gradient_mu,
     normal_cdf,
@@ -136,7 +135,7 @@ def max_gradient_error(params, arm, step):
 class TestEstimatePace:
     def test_zero_covariance_degenerates(self):
         est = estimate_pace(study_params(3), CellCovariance.zero())
-        assert est.se_tau == 0.0
+        assert est.se == 0.0
         assert est.ci == (est.tau, est.tau)
         assert est.p_value == 0.0
 
@@ -150,7 +149,7 @@ class TestEstimatePace:
         params2, cov2 = fit_cell_params(ingest(scaled))
         other = estimate_pace(params2, cov2)
         assert other.tau == pytest.approx(-2.5 * base.tau, rel=1e-12)
-        assert other.se_tau == pytest.approx(2.5 * base.se_tau, rel=1e-12)
+        assert other.se == pytest.approx(2.5 * base.se, rel=1e-12)
 
     def test_matches_wald_without_truncation_or_missingness(self):
         config = DgpConfig(n=5000, case=1,
@@ -177,16 +176,18 @@ class TestLogitScale:
                           mean_y=np.array([[p0, p1], [p0, p1]]))
 
     def test_equal_means_zero_log_odds(self):
-        est = estimate_pace_logit(self.binary_params(0.4, 0.4), CellCovariance.zero())
+        est = estimate_pace(self.binary_params(0.4, 0.4), CellCovariance.zero(),
+                            scale="logit")
         assert est.tau == pytest.approx(0.0, abs=1e-12)
 
     def test_arithmetic_example(self):
-        est = estimate_pace_logit(self.binary_params(0.75, 0.5), CellCovariance.zero())
+        est = estimate_pace(self.binary_params(0.75, 0.5), CellCovariance.zero(),
+                            scale="logit")
         assert est.tau == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_out_of_unit_interval(self):
         with pytest.raises(MuOutOfUnitIntervalError):
-            estimate_pace_logit(self.binary_params(2.0, 1.0), CellCovariance.zero())
+            estimate_pace(self.binary_params(2.0, 1.0), CellCovariance.zero(), scale="logit")
 
     def test_chain_rule_against_finite_difference_of_logit(self):
         arr, _ = generate(DgpConfig(n=6000, case=1), seed=36)
@@ -195,7 +196,7 @@ class TestLogitScale:
         arr[keep, 5] = (rng.random(keep.sum()) < (0.5 + 0.25 * arr[keep, 1])).astype(float)
         params, cov = fit_cell_params(ingest(arr))
         identity = estimate_pace(params, cov)
-        logit_est = estimate_pace_logit(params, cov)
+        logit_est = estimate_pace(params, cov, scale="logit")
         slope1 = 1.0 / (identity.mu1 * (1 - identity.mu1))
         slope0 = 1.0 / (identity.mu0 * (1 - identity.mu0))
         assert logit_est.se_mu1 == pytest.approx(identity.se_mu1 * slope1, rel=1e-10)

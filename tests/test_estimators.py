@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brokenrct.comparators import itt_at_pp, tsls_survivors
+from brokenrct.comparators import estimate, itt_at_pp, tsls_survivors
 from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.estimators import PaceEstimator, SurvivorContrast, TwoStageLeastSquares
 from brokenrct.imputation import impute_within_cells
@@ -46,7 +46,7 @@ class TestPaceEstimatorFit:
         params, cov = fit_cell_params(ingest(sample))
         expected = estimate_pace(params, cov, n=sample.shape[0])
         assert est.tau_ == expected.tau
-        assert est.se_ == expected.se_tau
+        assert est.se_ == expected.se
         assert est.conf_int_ == expected.ci
         assert est.estimate_.mu1 == expected.mu1
         assert est.strata_proportions_.p_c > 0
@@ -68,9 +68,13 @@ class TestPaceEstimatorFit:
         with pytest.raises(RuntimeError):
             PaceEstimator().tau_
 
-    def test_invalid_scale(self, sample):
-        with pytest.raises(ValueError):
-            PaceEstimator(scale="odds").fit(sample)
+    @pytest.mark.parametrize("fit", [
+        lambda arr: estimate(ingest(arr), "pace", scale="odds"),
+        lambda arr: PaceEstimator(scale="odds").fit(arr),
+    ], ids=["estimate", "PaceEstimator"])
+    def test_invalid_scale(self, sample, fit):
+        with pytest.raises(ValueError, match="'identity' or 'logit', got 'odds'"):
+            fit(sample)
 
     def test_imputed_fit_is_deterministic(self, sample):
         damaged = delete_outcomes_mcar(sample, 0.2, seed=8)

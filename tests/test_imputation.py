@@ -20,8 +20,7 @@ from helpers import delete_outcomes_mcar, delete_survival_mcar
 
 def analyse(arr):
     params, cov = fit_cell_params(cells_from_arrays(*(arr[:, i] for i in range(6))))
-    est = estimate_pace(params, cov)
-    return est.tau, est.se_tau
+    return estimate_pace(params, cov)
 
 
 class TestImputer:
@@ -101,24 +100,24 @@ class TestImputer:
 
     def test_mcar_pooled_estimate_consistent_with_complete_data(self):
         arr, _ = generate(DgpConfig(n=6000, case=1), seed=54)
-        complete_tau, _ = analyse(arr)
+        complete_tau = analyse(arr).tau
         damaged = delete_outcomes_mcar(arr, 0.2, seed=4)
         completed = impute_within_cells(damaged, m=10, seed=11)
         pooled = pool_estimates([analyse(c) for c in completed])
-        assert abs(pooled.point - complete_tau) < 2 * pooled.se
+        assert abs(pooled.tau - complete_tau) < 2 * pooled.se
 
 
 class TestRubinPool:
     def test_degenerate_identical_estimates(self):
         analysis = ImputedAnalysis(estimates=[2.0] * 5, within_var=[0.09] * 5)
         pooled = rubin_pool(analysis)
-        assert pooled.point == 2.0
+        assert pooled.tau == 2.0
         assert pooled.between == 0.0
         assert pooled.se == pytest.approx(0.3, abs=1e-15)
 
     def test_hand_arithmetic(self):
         pooled = rubin_pool(ImputedAnalysis(estimates=[1.0, 3.0], within_var=[0.0, 0.0]))
-        assert pooled.point == pytest.approx(2.0, abs=1e-15)
+        assert pooled.tau == pytest.approx(2.0, abs=1e-15)
         assert pooled.between == pytest.approx(2.0, abs=1e-15)
         assert pooled.total_var == pytest.approx(3.0, abs=1e-12)
         assert pooled.se == pytest.approx(math.sqrt(3.0), abs=1e-12)
@@ -132,7 +131,7 @@ class TestRubinPool:
             order = rng.permutation(9)
             other = rubin_pool(ImputedAnalysis(estimates=estimates[order],
                                                within_var=within[order]))
-            assert other.point == pytest.approx(base.point, abs=1e-15)
+            assert other.tau == pytest.approx(base.tau, abs=1e-15)
             assert other.se == pytest.approx(base.se, abs=1e-15)
 
     def test_total_variance_dominates_within(self):
@@ -164,7 +163,7 @@ class TestCompletedDir:
         loaded = read_completed_dir(tmp_path)
         assert len(loaded) == 3
         pooled = pool_estimates([analyse(c) for c in loaded])
-        assert math.isfinite(pooled.point)
+        assert math.isfinite(pooled.tau)
 
     def test_rejects_incomplete_dataset(self, tmp_path):
         arr, _ = generate(DgpConfig(n=200, case=1), seed=56)
