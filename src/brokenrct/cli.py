@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import sys
@@ -25,7 +26,7 @@ from .estimation import SCALES, estimate_pace, fit_cell_params
 from .identify import complier_survival, strata_proportions
 from .imputation import impute_within_cells, pool_estimates, read_completed_dir
 from .records import cells_from_arrays, read_csv, validate_design
-from .simulate import CASES, DgpConfig, run_study
+from .simulate import DgpConfig, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--method", action="append", choices=("pace",) + METHODS,
                          help="estimator to run (repeatable; default: pace)")
     analyze.add_argument("--scale", choices=SCALES, default="identity",
-                         help="estimand scale for the pace method")
+                         help="estimand scale for the pace method; the comparator "
+                              "methods take only identity")
     analyze.add_argument("--level", type=float, default=0.95)
     analyze.add_argument("--impute", type=int, metavar="M",
                          help="hot-deck imputations to draw and pool (M >= 2)")
@@ -204,34 +206,22 @@ def _config_error(path: str, message: str) -> SchemaError:
 
 
 def load_study_config(path) -> dict:
+    """The study settings of a config file over :func:`run_study`'s defaults.
+
+    ``run_study`` checks the settings; ``dgp`` holds the
+    :class:`DgpConfig` overrides that it takes as ``config``.
+    """
     with open(path) as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise _config_error("<root>", "configuration must be a JSON object")
-    known = {"seed", "reps", "cases", "sizes", "estimators", "oracle_n",
-             "n_jobs", "dgp"}
+    defaults = {name: parameter.default
+                for name, parameter in inspect.signature(run_study).parameters.items()
+                if name != "config"}
     for key in raw:
-        if key not in known:
+        if key not in defaults and key != "dgp":
             raise _config_error(key, "unknown configuration field")
-    config = {
-        "seed": raw.get("seed", 20240501),
-        "reps": raw.get("reps", 2000),
-        "cases": raw.get("cases", list(CASES)),
-        "sizes": raw.get("sizes", [500, 2000, 8000]),
-        "estimators": raw.get("estimators", ["pace", "tsls"]),
-        "oracle_n": raw.get("oracle_n", 1_000_000),
-        "n_jobs": raw.get("n_jobs", 1),
-        "dgp": raw.get("dgp", {}),
-    }
-    for key in ("seed", "reps", "oracle_n", "n_jobs"):
-        if not isinstance(config[key], int):
-            raise _config_error(key, f"must be an integer, got {config[key]!r}")
-    for key in ("cases", "sizes", "estimators"):
-        if not isinstance(config[key], list) or not config[key]:
-            raise _config_error(key, "must be a non-empty list")
-    for i, case in enumerate(config["cases"]):
-        if case not in CASES:
-            raise _config_error(f"cases[{i}]", f"must be one of {list(CASES)}")
+    config = {**defaults, "dgp": {}, **raw}
     if not isinstance(config["dgp"], dict):
         raise _config_error("dgp", "must be an object of DGP overrides")
     valid_dgp = {f.name for f in fields(DgpConfig)} - {"n", "case"}
@@ -253,16 +243,8 @@ def cmd_simulate(args) -> int:
         json.dumps(config, sort_keys=True).encode()).hexdigest()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_study(
-        cases=config["cases"],
-        sizes=config["sizes"],
-        reps=config["reps"],
-        estimators=config["estimators"],
-        seed=config["seed"],
-        config=DgpConfig(**config["dgp"]),
-        oracle_n=config["oracle_n"],
-        n_jobs=config["n_jobs"],
-    )
+    settings = {key: value for key, value in config.items() if key != "dgp"}
+    report = run_study(config=DgpConfig(**config["dgp"]), **settings)
     report.to_csv(out_dir / "report.csv")
     (out_dir / "table.txt").write_text(report.format_table())
     metadata = {

@@ -84,10 +84,17 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
 
 
 def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -> Estimate:
-    """The effect by ``method``: "pace" (a PaceEstimate on ``scale``) or one of :data:`METHODS`."""
+    """The effect by ``method``: "pace" (a PaceEstimate on ``scale``) or one of :data:`METHODS`.
+
+    The comparators are mean differences, so they take only the "identity"
+    scale; any other scale raises ``ValueError``.
+    """
     if method == "pace":
         params, cov = fit_cell_params(cells)
         return estimate_pace(params, cov, level=level, n=cells.n_records, scale=scale)
+    if scale != "identity":
+        raise ValueError(f"{method} is a mean difference and has only the 'identity' "
+                         f"scale, got {scale!r}")
     if method == "tsls":
         return tsls_survivors(cells, level=level)
     return itt_at_pp(cells, method, level=level)

@@ -83,29 +83,25 @@ class PaceEstimator(BaseReportingEstimator):
         times and pool the per-dataset estimates; otherwise analyse complete
         cases (which ignores missingness uncertainty).
     seed : generator seed for imputation draws.
-    warn_weak_instrument : emit a warning when the first-stage difference is
-        below the validation threshold.
 
-    ``fit`` sets ``estimate_`` (the complete-case ``PaceEstimate``),
+    ``fit`` warns when the first-stage difference is below the validation
+    threshold.  It sets ``estimate_`` (the complete-case ``PaceEstimate``),
     ``pooled_`` (the ``PooledEstimate`` with ``impute``, else None) and
     ``result_``, the one of the two that the accessors report.
     """
 
     def __init__(self, level: float = 0.95, scale: str = "identity",
-                 impute: int | None = None, seed: int = 0,
-                 warn_weak_instrument: bool = True):
+                 impute: int | None = None, seed: int = 0):
         self.level = level
         self.scale = scale
         self.impute = impute
         self.seed = seed
-        self.warn_weak_instrument = warn_weak_instrument
 
     def fit(self, X, y=None):
         arr = as_array(X)
         self.cells_ = cells_from_arrays(*arr.T)
         self.validation_ = validate_design(self.cells_)
-        if self.warn_weak_instrument:
-            warn_if_weak(self.validation_)
+        warn_if_weak(self.validation_)
         self.params_, self.covariance_ = fit_cell_params(self.cells_)
         self.estimate_ = estimate_pace(self.params_, self.covariance_, level=self.level,
                                        n=self.cells_.n_records, scale=self.scale)

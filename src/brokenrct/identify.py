@@ -143,7 +143,6 @@ def pace_denominators(params: CellParams) -> tuple[float, float]:
 
 def pace_identify(
     params: CellParams,
-    hard_tolerance: float = DENOMINATOR_HARD_TOLERANCE,
     warn_tolerance: float = DENOMINATOR_WARN_TOLERANCE,
 ) -> tuple[float, float, float]:
     """Survived-complier mean outcomes (mu1, mu0) and their contrast tau.
@@ -155,7 +154,7 @@ def pace_identify(
     """
     den1, den0 = pace_denominators(params)
     for arm, den in ((1, den1), (0, den0)):
-        if abs(den) <= hard_tolerance:
+        if abs(den) <= DENOMINATOR_HARD_TOLERANCE:
             raise DenominatorDegenerateError(
                 f"arm-{arm} mixing denominator is degenerate ({den:.3e}); "
                 "the survived-complier mean for this arm is not identified"

@@ -120,20 +120,6 @@ class CellStatistics:
             return float("nan")
         return float(self.count[z, 1] / total)
 
-    def merge(self, other: "CellStatistics") -> "CellStatistics":
-        """Combine two disjoint batches (associative up to float rounding)."""
-        k, mean, m2 = pool_moments(self.y_count, self.y_mean, self.y_m2,
-                                   other.y_count, other.y_mean, other.y_m2)
-        return CellStatistics(
-            count=self.count + other.count,
-            surv_obs=self.surv_obs + other.surv_obs,
-            surv_pos=self.surv_pos + other.surv_pos,
-            miss_s=self.miss_s + other.miss_s,
-            y_count=k,
-            y_mean=mean,
-            y_m2=m2,
-        )
-
 
 def pool_moments(ka, mean_a, m2a, kb, mean_b, m2b):
     """Count, mean and M2 of two disjoint batches, elementwise.

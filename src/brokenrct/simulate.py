@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -222,7 +224,6 @@ class SimulationReport:
     seed: int
     reps: int
     oracle_n: int
-    meta: dict = field(default_factory=dict)
 
     def row(self, case: int, n: int, estimator: str) -> StudyRow:
         for r in self.rows:
@@ -286,8 +287,8 @@ def _replication_seed(seed: int, case: int, size_index: int, rep: int):
     return np.random.SeedSequence(entropy=seed, spawn_key=(case, size_index, rep))
 
 
-def _run_chunk(args):
-    config, case, size_index, rep_range, seed, estimator_names = args
+def _run_chunk(task):
+    config, case, size_index, rep_range, seed, estimator_names = task
     out = {name: [] for name in estimator_names}
     for rep in rep_range:
         arr, _ = generate(config, _replication_seed(seed, case, size_index, rep))
@@ -298,6 +299,20 @@ def _run_chunk(args):
             except EstimationError:
                 out[name].append(None)
     return out
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _checked_list(name: str, values, valid, rule: str) -> tuple:
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = ()
+    if not items or not all(map(valid, items)):
+        raise ValueError(f"{name} must be a non-empty list of {rule}, got {values!r}")
+    return items
 
 
 def run_study(
@@ -317,6 +332,18 @@ def run_study(
     Estimator failures (degenerate denominators at small n) are counted per
     row, not fatal.
 
+    The study is one flat list of (case, size, replication chunk) tasks run
+    by one map: with ``n_jobs > 1`` a single process pool of ``n_jobs``
+    workers runs every task while this process draws the per-case truths;
+    with ``n_jobs == 1`` no pool is started.  The rows are assembled in task
+    order, so they do not depend on ``n_jobs``.
+
+    These defaults are the study-config defaults of ``brokenrct simulate``.
+    ``reps``, ``oracle_n`` or ``n_jobs`` below 1, a negative ``seed``, a
+    boolean in place of an integer, an empty list, a size below 1, a case
+    outside :data:`CASES` or an unknown estimator raises ``ValueError``
+    naming the field.
+
     A replication's stream is keyed by (case, position of n in ``sizes``,
     rep), not by n itself, so the rows of one (case, n) cell depend on
     which other sizes are listed before it: a study cannot be split or
@@ -325,45 +352,49 @@ def run_study(
     and the n=500 acceptance check recompute, so it waits for a change to
     the benchmark.
     """
+    for name, value, low in (("seed", seed, 0), ("reps", reps, 1),
+                             ("oracle_n", oracle_n, 1), ("n_jobs", n_jobs, 1)):
+        if not _is_int(value, low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    cases = _checked_list("cases", cases, lambda c: _is_int(c, 1) and c in CASES,
+                          f"cases from {list(CASES)}")
+    sizes = _checked_list("sizes", sizes, lambda n: _is_int(n, 1), "integers >= 1")
+    estimators = _checked_list("estimators", estimators,
+                               lambda e: isinstance(e, str) and e in ESTIMATORS,
+                               f"estimators from {sorted(ESTIMATORS)}")
     base = config or DgpConfig()
-    for name in estimators:
-        if name not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}; have {sorted(ESTIMATORS)}")
+    grid = [(case, size_index, n) for case in cases for size_index, n in enumerate(sizes)]
+    chunks = _chunk_ranges(reps, n_jobs)
+    tasks = [(replace(base, case=case, n=n), case, size_index, chunk, seed, estimators)
+             for case, size_index, n in grid for chunk in chunks]
+    with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
+        # Executor.map submits every task at once, so the workers run them
+        # while this process draws the truths
+        results = (pool.map if pool else map)(_run_chunk, tasks)
+        truths = {case: true_pace(replace(base, case=case, n=1), oracle_n=oracle_n,
+                                  seed=np.random.SeedSequence(entropy=seed,
+                                                              spawn_key=(case, 999999)))
+                  for case in cases}
+        results = list(results)
+
     rows = []
-    for case in cases:
-        case_config = replace(base, case=case)
-        truth = true_pace(replace(case_config, n=1), oracle_n=oracle_n,
-                          seed=np.random.SeedSequence(entropy=seed, spawn_key=(case, 999999)))
-        for size_index, n in enumerate(sizes):
-            run_config = replace(case_config, n=n)
-            chunks = _chunk_ranges(reps, n_jobs)
-            args = [(run_config, case, size_index, rng, seed, tuple(estimators))
-                    for rng in chunks]
-            if n_jobs > 1:
-                with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                    results = list(pool.map(_run_chunk, args))
-            else:
-                results = [_run_chunk(a) for a in args]
-            for name in estimators:
-                taus, ses, covered = [], [], []
-                failures = 0
-                for chunk in results:
-                    for item in chunk[name]:
-                        if item is None:
-                            failures += 1
-                            continue
-                        taus.append(item.tau)
-                        ses.append(item.se)
-                        covered.append(item.ci_lower <= truth <= item.ci_upper)
-                taus = np.asarray(taus)
-                rows.append(StudyRow(
-                    case=case, n=n, estimator=name,
-                    reps=reps, failures=failures, true_tau=truth,
-                    bias=float(taus.mean() - truth) if taus.size else float("nan"),
-                    sd=float(taus.std(ddof=1)) if taus.size > 1 else float("nan"),
-                    mean_se=float(np.mean(ses)) if ses else float("nan"),
-                    cp=float(np.mean(covered)) if covered else float("nan"),
-                ))
+    for i, (case, _, n) in enumerate(grid):
+        cell_results = results[i * len(chunks):(i + 1) * len(chunks)]
+        truth = truths[case]
+        for name in estimators:
+            outcomes = [item for chunk in cell_results for item in chunk[name]]
+            fits = [item for item in outcomes if item is not None]
+            taus = np.asarray([item.tau for item in fits])
+            ses = [item.se for item in fits]
+            covered = [item.ci_lower <= truth <= item.ci_upper for item in fits]
+            rows.append(StudyRow(
+                case=case, n=n, estimator=name,
+                reps=reps, failures=len(outcomes) - len(fits), true_tau=truth,
+                bias=float(taus.mean() - truth) if taus.size else float("nan"),
+                sd=float(taus.std(ddof=1)) if taus.size > 1 else float("nan"),
+                mean_se=float(np.mean(ses)) if ses else float("nan"),
+                cp=float(np.mean(covered)) if covered else float("nan"),
+            ))
     return SimulationReport(rows=rows, seed=seed, reps=reps, oracle_n=oracle_n)
 
 

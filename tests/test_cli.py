@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from brokenrct.cli import main
+from brokenrct.cli import load_study_config, main
 from brokenrct.estimators import PaceEstimator
 from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
@@ -82,6 +83,14 @@ class TestAnalyze:
         write_csv(path, np.asarray(rows, dtype=float))
         code, _, err = run_cli(capsys, ["analyze", "--input", str(path)])
         assert code == 3
+
+    def test_comparator_with_logit_scale_is_rejected(self, capsys, study_csv):
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(study_csv),
+                                          "--method", "tsls", "--scale", "logit",
+                                          "--format", "csv"])
+        assert code == 4
+        assert out == ""
+        assert "tsls" in err and "identity" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
@@ -209,6 +218,32 @@ class TestSimulate:
         code, _, err = run_cli(capsys, [
             "simulate", "--config", str(path), "--out-dir", str(tmp_path / "z")])
         assert code == 4
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("reps", True), ("oracle_n", True), ("n_jobs", True), ("seed", False),
+        ("reps", 0), ("reps", -3), ("oracle_n", 0), ("n_jobs", -1), ("sizes", [0]),
+    ])
+    def test_invalid_setting_exits_4(self, capsys, tmp_path, field, value):
+        config = self.write_config(tmp_path, **{field: value})
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(config),
+                                          "--out-dir", str(out_dir)])
+        assert code == 4
+        assert f"error: {field} must be" in err
+        assert not (out_dir / "report.csv").exists()
+
+    def test_empty_config_takes_run_study_defaults(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        config = load_study_config(path)
+        assert json.loads(json.dumps(config)) == {
+            "seed": 20240501, "reps": 2000, "cases": [1, 2, 3, 4],
+            "sizes": [500, 2000, 8000], "estimators": ["pace", "tsls"],
+            "oracle_n": 1_000_000, "n_jobs": 1, "dgp": {},
+        }
+        digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+        assert digest == "5fbc9b650a9a59379c86ef48192506a6d27181d4f275e8b896d9eda5c3faee7c"
 
 
 class TestEffectSeries:

@@ -93,6 +93,14 @@ def test_estimate_dispatches_every_method():
         estimate(cells, "ols")
 
 
+@pytest.mark.parametrize("scale", ["logit", "odds"])
+@pytest.mark.parametrize("method", ["tsls", "itt", "at", "pp"])
+def test_comparators_reject_a_non_identity_scale(method, scale):
+    cells = ingest(generate(DgpConfig(n=2000, case=1), seed=47)[0])
+    with pytest.raises(ValueError, match=f"{method} .*'identity'.*{scale!r}"):
+        estimate(cells, method, scale=scale)
+
+
 class TestNaiveContrasts:
     def test_all_agree_under_full_protocol_adherence(self):
         arr, _ = generate(DgpConfig(n=4000, case=1, p_d0=0.0,

@@ -93,16 +93,6 @@ def test_ingest_is_permutation_invariant_bitwise():
         assert np.array_equal(base.y_m2, other.y_m2)
 
 
-def test_merge_agrees_with_single_pass():
-    arr, _ = generate(DgpConfig(n=800, case=1), seed=9)
-    whole = ingest(arr)
-    left, right = ingest(arr[:300]), ingest(arr[300:])
-    merged = left.merge(right)
-    assert np.array_equal(whole.count, merged.count)
-    assert np.allclose(whole.y_mean, merged.y_mean, rtol=1e-12, atol=1e-12)
-    assert np.allclose(whole.y_m2, merged.y_m2, rtol=1e-9, atol=1e-9)
-
-
 def test_invalid_records_are_rejected_with_index_and_rule():
     good = rec(1, 1, 1, 1, 1, 2.0)
     bad = rec(1, 1, 0, None, 1, None)  # delta_y must be 0 when delta_s = 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brokenrct import simulate
 from brokenrct.simulate import (
     DgpConfig,
     ESTIMATORS,
@@ -103,11 +104,41 @@ class TestRunStudy:
         assert 0.0 <= row.cp <= 1.0
 
     def test_parallel_equals_serial(self):
-        kwargs = dict(cases=(1,), sizes=(300,), reps=40,
-                      estimators=("pace",), seed=7, oracle_n=50_000)
+        # 25 reps is not a multiple of the chunk size at n_jobs 2 (4) or 3 (3)
+        kwargs = dict(cases=(1, 3), sizes=(300, 200), reps=25,
+                      estimators=("pace", "tsls", "itt"), seed=7, oracle_n=50_000)
         serial = run_study(n_jobs=1, **kwargs)
-        parallel = run_study(n_jobs=2, **kwargs)
-        assert serial.rows == parallel.rows
+        assert [(r.case, r.n, r.estimator) for r in serial.rows] == [
+            (c, n, e) for c in (1, 3) for n in (300, 200) for e in ("pace", "tsls", "itt")]
+        for n_jobs in (2, 3):
+            assert run_study(n_jobs=n_jobs, **kwargs).rows == serial.rows
+
+    @pytest.mark.parametrize("n_jobs,pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_study(self, monkeypatch, n_jobs, pools):
+        started = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        run_study(cases=(1, 2), sizes=(100, 200), reps=4, estimators=("tsls",),
+                  seed=8, oracle_n=10_000, n_jobs=n_jobs)
+        assert len(started) == pools
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", True), ("seed", -1), ("reps", True), ("reps", 0), ("reps", -3),
+        ("reps", 2.5), ("oracle_n", True), ("oracle_n", 0), ("n_jobs", True),
+        ("n_jobs", 0), ("sizes", [0]), ("sizes", [300, True]), ("sizes", []),
+        ("cases", [5]), ("cases", [True]), ("cases", 1), ("estimators", []),
+    ])
+    def test_invalid_setting_names_its_field(self, field, value):
+        settings = dict(cases=(1,), sizes=(100,), reps=5, estimators=("tsls",),
+                        seed=1, oracle_n=10_000)
+        settings[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run_study(**settings)
 
     def test_failures_counted_not_fatal(self):
         report = run_study(cases=(1,), sizes=(12,), reps=40,
@@ -117,7 +148,7 @@ class TestRunStudy:
         assert np.isfinite(row.bias)
 
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^estimators must be"):
             run_study(cases=(1,), sizes=(100,), reps=5, estimators=("magic",), seed=1)
 
     def test_registry_covers_cli_methods(self):
