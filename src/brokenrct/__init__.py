@@ -50,12 +50,10 @@ from .identify import (
     wald_reduction,
 )
 from .imputation import (
-    ImputedAnalysis,
     PooledEstimate,
     impute_within_cells,
     pool_estimates,
     read_completed_dir,
-    rubin_pool,
 )
 from .records import (
     CellStatistics,
@@ -84,7 +82,6 @@ __all__ = [
     "Estimate",
     "EstimationError",
     "IdentificationWarning",
-    "ImputedAnalysis",
     "InvalidRecordError",
     "MuOutOfUnitIntervalError",
     "NoDonorsError",
@@ -123,7 +120,6 @@ __all__ = [
     "pool_estimates",
     "read_completed_dir",
     "read_csv",
-    "rubin_pool",
     "run_study",
     "strata_proportions",
     "survivor_contrast_reduction",

@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .comparators import METHODS, estimate
+from .comparators import METHODS, check_scale, estimate
 from .errors import BrokenRctError, EstimationError, SchemaError
 from .estimation import SCALES, estimate_pace, fit_cell_params
 from .identify import complier_survival, strata_proportions
@@ -104,6 +104,8 @@ def cmd_analyze(args) -> int:
     if args.impute is not None and args.impute < 2:
         print("error: --impute requires M >= 2 for pooled variance", file=sys.stderr)
         return EXIT_IO
+    for method in methods:
+        check_scale(method, args.scale)
     arr = read_csv(args.input)
     cells = cells_from_arrays(*arr.T)
 
@@ -241,10 +243,10 @@ def cmd_simulate(args) -> int:
     config = load_study_config(args.config)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     settings = {key: value for key, value in config.items() if key != "dgp"}
     report = run_study(config=DgpConfig(**config["dgp"]), **settings)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")
     (out_dir / "table.txt").write_text(report.format_table())
     metadata = {

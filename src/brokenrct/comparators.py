@@ -83,18 +83,23 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
                     level=level, n=int(k.sum()))
 
 
+def check_scale(method: str, scale: str) -> None:
+    """Raise ``ValueError`` for a comparator (a mean difference) off the identity scale."""
+    if method != "pace" and scale != "identity":
+        raise ValueError(f"{method} is a mean difference and has only the 'identity' "
+                         f"scale, got {scale!r}")
+
+
 def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -> Estimate:
     """The effect by ``method``: "pace" (a PaceEstimate on ``scale``) or one of :data:`METHODS`.
 
-    The comparators are mean differences, so they take only the "identity"
-    scale; any other scale raises ``ValueError``.
+    A comparator with any scale but "identity" raises ``ValueError``
+    (:func:`check_scale`).
     """
+    check_scale(method, scale)
     if method == "pace":
         params, cov = fit_cell_params(cells)
         return estimate_pace(params, cov, level=level, n=cells.n_records, scale=scale)
-    if scale != "identity":
-        raise ValueError(f"{method} is a mean difference and has only the 'identity' "
-                         f"scale, got {scale!r}")
     if method == "tsls":
         return tsls_survivors(cells, level=level)
     return itt_at_pp(cells, method, level=level)

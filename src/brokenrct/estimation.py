@@ -21,7 +21,7 @@ from .errors import (
     EmptyCellError,
     MuOutOfUnitIntervalError,
 )
-from .identify import CellParams, pace_denominators, pace_identify
+from .identify import MEAN_AT, SURVIVAL_AT, TAKE_AT, CellParams, identify_arms
 from .records import CellStatistics
 
 SCALES = ("identity", "logit")
@@ -127,50 +127,34 @@ def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
 
     params = CellParams(take=take, survival=survival, mean_y=mean_y,
                         assign_rate=assign_rate)
-    diagonal = np.array([
-        assign_rate * (1 - assign_rate) / n,
-        take[1] * (1 - take[1]) / n1,
-        take[0] * (1 - take[0]) / n0,
-        var_survival[1, 1], var_survival[1, 0],
-        var_survival[0, 1], var_survival[0, 0],
-        var_mean[1, 1], var_mean[1, 0],
-        var_mean[0, 1], var_mean[0, 0],
-    ])
-    return params, CellCovariance(diagonal=diagonal)
+    variance = CellParams(take=take * (1 - take) / np.array([n0, n1]),
+                          survival=var_survival, mean_y=var_mean,
+                          assign_rate=assign_rate * (1 - assign_rate) / n)
+    return params, CellCovariance(diagonal=variance.pack())
 
 
 def gradient_mu(params: CellParams, arm: int) -> np.ndarray:
-    """Analytic gradient of the arm's survived-complier mean.
+    """Analytic gradient of the arm's survived-complier mean, packed.
 
-    The survived-complier mean for the treated arm is a ratio
-    ``(A*m11 - B*m01) / (A - B)`` with ``A = take1*surv11`` and
-    ``B = take0*surv01``; differentiating gives the compact forms below.
-    Parameters that do not enter the arm's formula (the assignment rate and
-    the opposite arm's cells) have exactly zero components.
+    For d = ``arm``, mu = (A1*m1 - A0*m0) / (A1 - A0) with Az = weight[z, d] *
+    survival[z, d] and mz = mean_y[z, d] (:func:`~brokenrct.identify.identify_arms`).
+    With sign +1 for z = 1 and -1 for z = 0: d mu/d mz = sign * Az / den,
+    d mu/d survival[z, d] = sign * weight[z, d] * (mz - mu) / den, and d mu/d
+    take[z] is that with survival[z, d] for weight[z, d], negated for d = 0.
+    The assignment rate and the other arm's cells have zero components.
     """
     if arm not in (0, 1):
         raise ValueError("arm must be 0 or 1")
-    take1, take0 = params.take[1], params.take[0]
-    surv, mean = params.survival, params.mean_y
-    den1, den0 = pace_denominators(params)
-    mu1, mu0, _ = pace_identify(params, warn_tolerance=0.0)
+    return _gradient(params, *identify_arms(params, warn=False), arm)
+
+
+def _gradient(params: CellParams, weight, mass, den, mu, arm: int) -> np.ndarray:
     grad = np.zeros(11)
-    if arm == 1:
-        a_mass, b_mass = take1 * surv[1, 1], take0 * surv[0, 1]
-        grad[1] = surv[1, 1] * (mean[1, 1] - mu1) / den1          # d/d take1
-        grad[2] = -surv[0, 1] * (mean[0, 1] - mu1) / den1         # d/d take0
-        grad[3] = take1 * (mean[1, 1] - mu1) / den1               # d/d surv11
-        grad[5] = -take0 * (mean[0, 1] - mu1) / den1              # d/d surv01
-        grad[7] = a_mass / den1                                   # d/d mean11
-        grad[9] = -b_mass / den1                                  # d/d mean01
-    else:
-        c_mass, d_mass = (1 - take1) * surv[1, 0], (1 - take0) * surv[0, 0]
-        grad[1] = -surv[1, 0] * (mean[1, 0] - mu0) / den0         # d/d take1
-        grad[2] = surv[0, 0] * (mean[0, 0] - mu0) / den0          # d/d take0
-        grad[4] = (1 - take1) * (mean[1, 0] - mu0) / den0         # d/d surv10
-        grad[6] = -(1 - take0) * (mean[0, 0] - mu0) / den0        # d/d surv00
-        grad[8] = c_mass / den0                                   # d/d mean10
-        grad[10] = -d_mass / den0                                 # d/d mean00
+    for z, sign in ((1, 1.0), (0, -1.0)):
+        resid = params.mean_y[z, arm] - mu[arm]
+        grad[TAKE_AT[z]] = (sign if arm else -sign) * params.survival[z, arm] * resid / den[arm]
+        grad[SURVIVAL_AT[z, arm]] = sign * weight[z, arm] * resid / den[arm]
+        grad[MEAN_AT[z, arm]] = sign * mass[z, arm] / den[arm]
     return grad
 
 
@@ -178,16 +162,17 @@ def estimate_pace(params: CellParams, cov: CellCovariance, level: float = 0.95,
                   n: int = 0, scale: str = "identity") -> PaceEstimate:
     """Point estimates with delta-method standard errors and a normal CI.
 
-    ``scale`` is "identity" for the mean difference or "logit" for the log
-    odds ratio of a binary outcome.  The gradient of ``logit(mu)`` is the
-    identity-scale gradient divided by ``mu * (1 - mu)``, so the same
-    diagonal covariance propagates through.
+    Both means and both gradients come from one identification.  ``scale``
+    is "identity" for the mean difference or "logit" for the log odds ratio
+    of a binary outcome.  The gradient of ``logit(mu)`` is the identity-scale
+    gradient divided by ``mu * (1 - mu)``, so the same covariance propagates.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be 'identity' or 'logit', got {scale!r}")
-    mu1, mu0, tau = pace_identify(params)
-    grad1 = gradient_mu(params, 1)
-    grad0 = gradient_mu(params, 0)
+    arms = identify_arms(params)
+    mu1, mu0 = float(arms[3][1]), float(arms[3][0])
+    tau = mu1 - mu0
+    grad1, grad0 = _gradient(params, *arms, 1), _gradient(params, *arms, 0)
     if scale == "logit":
         for name, mu in (("mu1", mu1), ("mu0", mu0)):
             if not 0.0 < mu < 1.0:
@@ -233,7 +218,7 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Wichura's rational approximation).
+    """Inverse standard normal CDF: ``statistics.NormalDist().inv_cdf``.
 
     Accurate to about 1e-15 relative error over (0, 1), far below the
     1e-9 needed here, with no dependency beyond the standard library.

@@ -26,6 +26,12 @@ from .records import CellStatistics
 DENOMINATOR_HARD_TOLERANCE = 1e-10
 DENOMINATOR_WARN_TOLERANCE = 0.01
 
+#: The one layout of the packed 11-vector: assignment rate at 0, then take[z],
+#: survival[z, d] and mean_y[z, d] at these positions, cells (1,1) first.
+TAKE_AT = np.array([2, 1])
+SURVIVAL_AT = np.array([[6, 5], [4, 3]])
+MEAN_AT = np.array([[10, 9], [8, 7]])
+
 
 @dataclass(frozen=True)
 class CellParams:
@@ -43,28 +49,20 @@ class CellParams:
     assign_rate: float = 0.5
 
     def pack(self) -> np.ndarray:
-        """The 11-vector in the order of the gradients and the covariance:
-        assignment rate, uptake in arm 1 and arm 0, survival per (z, d)
-        cell, mean outcome per (z, d) cell, cells ordered (1,1), (1,0),
-        (0,1), (0,0)."""
-        return np.array([
-            self.assign_rate,
-            self.take[1], self.take[0],
-            self.survival[1, 1], self.survival[1, 0],
-            self.survival[0, 1], self.survival[0, 0],
-            self.mean_y[1, 1], self.mean_y[1, 0],
-            self.mean_y[0, 1], self.mean_y[0, 0],
-        ], dtype=float)
+        """The 11-vector of the gradients and the covariance, laid out by
+        :data:`TAKE_AT`, :data:`SURVIVAL_AT` and :data:`MEAN_AT`."""
+        vec = np.empty(11)
+        vec[0] = self.assign_rate
+        vec[TAKE_AT], vec[SURVIVAL_AT], vec[MEAN_AT] = self.take, self.survival, self.mean_y
+        return vec
 
     @classmethod
     def unpack(cls, vec) -> "CellParams":
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (11,):
             raise ValueError("parameter vector must have length 11")
-        take = np.array([vec[2], vec[1]])
-        survival = np.array([[vec[6], vec[5]], [vec[4], vec[3]]])
-        mean_y = np.array([[vec[10], vec[9]], [vec[8], vec[7]]])
-        return cls(take=take, survival=survival, mean_y=mean_y, assign_rate=float(vec[0]))
+        return cls(take=vec[TAKE_AT], survival=vec[SURVIVAL_AT], mean_y=vec[MEAN_AT],
+                   assign_rate=float(vec[0]))
 
 
 @dataclass(frozen=True)
@@ -132,45 +130,58 @@ def complier_survival(params: CellParams) -> ComplierSurvival:
     return ComplierSurvival(s1_given_c=float(s1c), s0_given_c=float(s0c))
 
 
+def survivor_masses(params: CellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-arm algebra of both treatments d at once, as (weight, mass, den):
+    weight[z, d] = P(D=d | Z=z), the survival mass mass[z, d] = weight[z, d] *
+    survival[z, d] and the mixing denominator den[d] = mass[1, d] - mass[0, d].
+    """
+    take = np.asarray(params.take, dtype=float)
+    weight = np.array([[1.0 - take[0], take[0]], [1.0 - take[1], take[1]]])
+    mass = weight * params.survival
+    return weight, mass, mass[1] - mass[0]
+
+
 def pace_denominators(params: CellParams) -> tuple[float, float]:
     """The two mixing denominators: treated-survivor and untreated-survivor."""
-    take1, take0 = params.take[1], params.take[0]
-    surv = params.survival
-    den1 = take1 * surv[1, 1] - take0 * surv[0, 1]
-    den0 = (1.0 - take1) * surv[1, 0] - (1.0 - take0) * surv[0, 0]
-    return float(den1), float(den0)
+    den = survivor_masses(params)[2]
+    return float(den[1]), float(den[0])
 
 
-def pace_identify(
-    params: CellParams,
-    warn_tolerance: float = DENOMINATOR_WARN_TOLERANCE,
-) -> tuple[float, float, float]:
-    """Survived-complier mean outcomes (mu1, mu0) and their contrast tau.
+def identify_arms(params: CellParams, warn: bool = True) -> tuple[np.ndarray, ...]:
+    """Both arms at once: (weight, mass, den) of :func:`survivor_masses` and
+    mu[d] = (mass[1, d] * mean_y[1, d] - mass[0, d] * mean_y[0, d]) / den[d].
 
-    mu1 subtracts the always-taker contribution from the treated-survivor
-    outcome moment; mu0 subtracts the never-taker contribution from the
-    untreated-survivor moment.  Raises when a mixing denominator is
-    numerically degenerate, warns when it is merely small.
-    """
-    den1, den0 = pace_denominators(params)
-    for arm, den in ((1, den1), (0, den0)):
-        if abs(den) <= DENOMINATOR_HARD_TOLERANCE:
+    Arm 1, then arm 0, raises when its denominator is numerically degenerate
+    and, if ``warn``, warns when it is merely small."""
+    weight, mass, den = survivor_masses(params)
+    for arm in (1, 0):
+        if abs(den[arm]) <= DENOMINATOR_HARD_TOLERANCE:
             raise DenominatorDegenerateError(
-                f"arm-{arm} mixing denominator is degenerate ({den:.3e}); "
+                f"arm-{arm} mixing denominator is degenerate ({den[arm]:.3e}); "
                 "the survived-complier mean for this arm is not identified"
             )
-        if abs(den) < warn_tolerance:
+        if warn and abs(den[arm]) < DENOMINATOR_WARN_TOLERANCE:
             warnings.warn(
-                f"arm-{arm} mixing denominator is small ({den:.3e}); "
+                f"arm-{arm} mixing denominator is small ({den[arm]:.3e}); "
                 "estimates may be unstable",
                 WeakDenominatorWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    take1, take0 = params.take[1], params.take[0]
-    surv, mean = params.survival, params.mean_y
-    mu1 = (take1 * surv[1, 1] * mean[1, 1] - take0 * surv[0, 1] * mean[0, 1]) / den1
-    mu0 = ((1 - take1) * surv[1, 0] * mean[1, 0] - (1 - take0) * surv[0, 0] * mean[0, 0]) / den0
-    return float(mu1), float(mu0), float(mu1 - mu0)
+    outcome = mass * params.mean_y
+    return weight, mass, den, (outcome[1] - outcome[0]) / den
+
+
+def pace_identify(params: CellParams) -> tuple[float, float, float]:
+    """Survived-complier mean outcomes (mu1, mu0) and their contrast tau.
+
+    For each treatment d, mu[d] is the survivors' outcome mass in cell
+    (Z=1, D=d) minus that in cell (Z=0, D=d), over the same difference of
+    survival masses (:func:`identify_arms`).  Raises when a mixing
+    denominator is numerically degenerate, warns when it is merely small.
+    """
+    mu = identify_arms(params)[3]
+    mu1, mu0 = float(mu[1]), float(mu[0])
+    return mu1, mu0, mu1 - mu0
 
 
 def cl_proportion_under_monotonicity(params: CellParams, *,
@@ -186,9 +197,8 @@ def cl_proportion_under_monotonicity(params: CellParams, *,
             "the survived-complier share is identified only under individual "
             "survival monotonicity; pass assume_survival_monotone=True to assert it"
         )
-    take1, take0 = params.take[1], params.take[0]
-    surv = params.survival
-    value = (1 - take0) * surv[0, 0] - (1 - take1) * surv[1, 0]
+    mass = survivor_masses(params)[1]
+    value = mass[0, 0] - mass[1, 0]
     if value < 0:
         warnings.warn(
             f"survived-complier share came out negative ({value:.4f}); "

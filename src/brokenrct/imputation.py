@@ -22,26 +22,6 @@ from .records import as_array, read_csv
 
 
 @dataclass(frozen=True)
-class ImputedAnalysis:
-    """Per-dataset point estimates and squared standard errors."""
-
-    estimates: np.ndarray
-    within_var: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "estimates", np.asarray(self.estimates, dtype=float))
-        object.__setattr__(self, "within_var", np.asarray(self.within_var, dtype=float))
-        if self.estimates.shape != self.within_var.shape:
-            raise ValueError("estimates and within_var must have matching length")
-        if (self.within_var < 0).any():
-            raise ValueError("within-imputation variances must be non-negative")
-
-    @property
-    def m(self) -> int:
-        return int(self.estimates.size)
-
-
-@dataclass(frozen=True)
 class PooledEstimate:
     """Combined estimate over completed datasets, read like an :class:`Estimate`.
 
@@ -131,27 +111,25 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     return completed
 
 
-def rubin_pool(analysis: ImputedAnalysis, level: float = 0.95) -> PooledEstimate:
-    """Pool per-dataset analyses; requires at least two datasets.
+def pool_estimates(estimates, level: float = 0.95) -> PooledEstimate:
+    """Pool the :class:`Estimate` of each completed dataset; requires m >= 2.
 
     The pooled ``tau`` is the mean of the estimates; the interval uses normal
     quantiles on the square root of the total variance (no small-sample
     degrees-of-freedom refinement).
     """
-    if analysis.m < 2:
+    estimates = list(estimates)
+    m = len(estimates)
+    if m < 2:
         raise ValueError("pooling requires at least m = 2 completed datasets")
-    tau = float(analysis.estimates.mean())
-    within = float(analysis.within_var.mean())
-    between = float(analysis.estimates.var(ddof=1))
-    se = math.sqrt(within + (1.0 + 1.0 / analysis.m) * between)
+    taus = np.array([est.tau for est in estimates], dtype=float)
+    within_var = np.array([est.se**2 for est in estimates], dtype=float)
+    tau = float(taus.mean())
+    within = float(within_var.mean())
+    between = float(taus.var(ddof=1))
+    se = math.sqrt(within + (1.0 + 1.0 / m) * between)
     return PooledEstimate(tau, se, *normal_interval(tau, se, level), level=level,
-                          m=analysis.m, within=within, between=between)
-
-
-def pool_estimates(estimates, level: float = 0.95) -> PooledEstimate:
-    """Pool the :class:`Estimate` of each completed dataset."""
-    return rubin_pool(ImputedAnalysis(estimates=[est.tau for est in estimates],
-                                      within_var=[est.se**2 for est in estimates]), level)
+                          m=m, within=within, between=between)
 
 
 def read_completed_dir(path) -> list[np.ndarray]:

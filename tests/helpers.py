@@ -4,17 +4,33 @@ The oracles here are independent of the code paths they check: cell
 parameters are derived by enumerating the latent strata of the benchmark
 generator, and the employment-study parameters come from the published
 cell table, entered as plain constants.  The row-level comparators are
-the reference for the package's closed forms on cell statistics, and the
-row-level record check is the reference for the column-wise one.
+the reference for the package's closed forms on cell statistics, the
+row-level record check is the reference for the column-wise one, and the
+hand-written twin formulas (one block per arm, the 11-parameter order
+spelled out) are the reference for the one per-arm identification.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from brokenrct.errors import DenominatorDegenerateError, EmptyCellError, InvalidRecordError
-from brokenrct.identify import CellParams
+from brokenrct.errors import (
+    AllOutcomesMissingError,
+    DenominatorDegenerateError,
+    EmptyCellError,
+    InvalidRecordError,
+    MuOutOfUnitIntervalError,
+    SurvivalMonotonicityWarning,
+    WeakDenominatorWarning,
+)
+from brokenrct.estimation import Estimate, PaceEstimate, logit, normal_interval
+from brokenrct.identify import (
+    DENOMINATOR_HARD_TOLERANCE,
+    DENOMINATOR_WARN_TOLERANCE,
+    CellParams,
+)
 from brokenrct.records import ObservationRecord
 from brokenrct.simulate import DgpConfig
 
@@ -32,6 +48,12 @@ STUDY_CELLS = {
     4: {"survival": {(1, 1): 0.840, (1, 0): 0.815, (0, 1): 0.827, (0, 0): 0.792},
         "mean": {(1, 1): 5.207, (1, 0): 5.128, (0, 1): 5.160, (0, 0): 5.168}},
 }
+
+
+def dataset_estimates(taus, within_var) -> list[Estimate]:
+    """One :class:`Estimate` per completed dataset, with se = sqrt(within_var)."""
+    return [Estimate("pace", float(tau), math.sqrt(var), float(tau), float(tau), 1.0, 0.95, 0)
+            for tau, var in zip(taus, within_var)]
 
 
 def study_params(year: int) -> CellParams:
@@ -332,3 +354,144 @@ def validate_rows(arr) -> None:
     """Row-by-row check of an (n, 6) array; raises at the first invalid row."""
     for i, row in enumerate(np.asarray(arr, dtype=float)):
         validate_record(record_from_row(row), i)
+
+
+def pace_denominators_twin(params):
+    """The two mixing denominators, written out arm by arm."""
+    take1, take0 = params.take[1], params.take[0]
+    surv = params.survival
+    den1 = take1 * surv[1, 1] - take0 * surv[0, 1]
+    den0 = (1.0 - take1) * surv[1, 0] - (1.0 - take0) * surv[0, 0]
+    return float(den1), float(den0)
+
+
+def pace_identify_twin(params, warn_tolerance=DENOMINATOR_WARN_TOLERANCE):
+    """(mu1, mu0, tau) with one hand-written formula per arm."""
+    den1, den0 = pace_denominators_twin(params)
+    for arm, den in ((1, den1), (0, den0)):
+        if abs(den) <= DENOMINATOR_HARD_TOLERANCE:
+            raise DenominatorDegenerateError(
+                f"arm-{arm} mixing denominator is degenerate ({den:.3e}); "
+                "the survived-complier mean for this arm is not identified"
+            )
+        if abs(den) < warn_tolerance:
+            warnings.warn(
+                f"arm-{arm} mixing denominator is small ({den:.3e}); "
+                "estimates may be unstable",
+                WeakDenominatorWarning,
+                stacklevel=2,
+            )
+    take1, take0 = params.take[1], params.take[0]
+    surv, mean = params.survival, params.mean_y
+    mu1 = (take1 * surv[1, 1] * mean[1, 1] - take0 * surv[0, 1] * mean[0, 1]) / den1
+    mu0 = ((1 - take1) * surv[1, 0] * mean[1, 0] - (1 - take0) * surv[0, 0] * mean[0, 0]) / den0
+    return float(mu1), float(mu0), float(mu1 - mu0)
+
+
+def gradient_mu_twin(params, arm):
+    """The arm's gradient with every packed index written as a literal."""
+    if arm not in (0, 1):
+        raise ValueError("arm must be 0 or 1")
+    take1, take0 = params.take[1], params.take[0]
+    surv, mean = params.survival, params.mean_y
+    den1, den0 = pace_denominators_twin(params)
+    mu1, mu0, _ = pace_identify_twin(params, warn_tolerance=0.0)
+    grad = np.zeros(11)
+    if arm == 1:
+        a_mass, b_mass = take1 * surv[1, 1], take0 * surv[0, 1]
+        grad[1] = surv[1, 1] * (mean[1, 1] - mu1) / den1          # d/d take1
+        grad[2] = -surv[0, 1] * (mean[0, 1] - mu1) / den1         # d/d take0
+        grad[3] = take1 * (mean[1, 1] - mu1) / den1               # d/d surv11
+        grad[5] = -take0 * (mean[0, 1] - mu1) / den1              # d/d surv01
+        grad[7] = a_mass / den1                                   # d/d mean11
+        grad[9] = -b_mass / den1                                  # d/d mean01
+    else:
+        c_mass, d_mass = (1 - take1) * surv[1, 0], (1 - take0) * surv[0, 0]
+        grad[1] = -surv[1, 0] * (mean[1, 0] - mu0) / den0         # d/d take1
+        grad[2] = surv[0, 0] * (mean[0, 0] - mu0) / den0          # d/d take0
+        grad[4] = (1 - take1) * (mean[1, 0] - mu0) / den0         # d/d surv10
+        grad[6] = -(1 - take0) * (mean[0, 0] - mu0) / den0        # d/d surv00
+        grad[8] = c_mass / den0                                   # d/d mean10
+        grad[10] = -d_mass / den0                                 # d/d mean00
+    return grad
+
+
+def estimate_pace_twin(params, cov, level=0.95, n=0, scale="identity"):
+    """The delta-method estimate, identifying once and then once per gradient."""
+    mu1, mu0, tau = pace_identify_twin(params)
+    grad1 = gradient_mu_twin(params, 1)
+    grad0 = gradient_mu_twin(params, 0)
+    if scale == "logit":
+        for name, mu in (("mu1", mu1), ("mu0", mu0)):
+            if not 0.0 < mu < 1.0:
+                raise MuOutOfUnitIntervalError(
+                    f"{name} = {mu:.4f} is outside (0, 1); the log-odds estimand "
+                    "requires a binary outcome and interior means"
+                )
+        grad1 = grad1 / (mu1 * (1.0 - mu1))
+        grad0 = grad0 / (mu0 * (1.0 - mu0))
+        mu1, mu0 = logit(mu1), logit(mu0)
+        tau = mu1 - mu0
+    se = math.sqrt(cov.quadratic_form(grad1 - grad0))
+    return PaceEstimate(
+        "pace", tau, se, *normal_interval(tau, se, level), level=level, n=n,
+        mu1=mu1, mu0=mu0,
+        se_mu1=math.sqrt(cov.quadratic_form(grad1)),
+        se_mu0=math.sqrt(cov.quadratic_form(grad0)),
+        scale=scale,
+    )
+
+
+def cl_proportion_twin(params):
+    """The survived-complier share under survival monotonicity, written out."""
+    take1, take0 = params.take[1], params.take[0]
+    surv = params.survival
+    value = (1 - take0) * surv[0, 0] - (1 - take1) * surv[1, 0]
+    if value < 0:
+        warnings.warn(
+            f"survived-complier share came out negative ({value:.4f}); "
+            "survival monotonicity is empirically contradicted",
+            SurvivalMonotonicityWarning,
+            stacklevel=2,
+        )
+    return float(value)
+
+
+def covariance_diagonal_twin(cells):
+    """fit_cell_params' covariance diagonal with the 11-parameter order spelled out."""
+    n = cells.n_records
+    n1, n0 = cells.arm_count(1), cells.arm_count(0)
+    if n1 == 0 or n0 == 0:
+        raise EmptyCellError(f"assignment arm z={1 if n1 == 0 else 0} has no records")
+    assign_rate = n1 / n
+    take = np.array([cells.take_rate(0), cells.take_rate(1)])
+    var_survival = np.zeros((2, 2))
+    var_mean = np.zeros((2, 2))
+    for z in (0, 1):
+        for d in (0, 1):
+            if cells.count[z, d] == 0:
+                continue
+            obs = cells.surv_obs[z, d]
+            if obs == 0:
+                raise EmptyCellError(
+                    f"cell (z={z}, d={d}) has records but no observed survival status"
+                )
+            rate = cells.surv_pos[z, d] / obs
+            var_survival[z, d] = rate * (1.0 - rate) / obs
+            if cells.surv_pos[z, d] == 0:
+                continue
+            k = cells.y_count[z, d]
+            if k == 0:
+                raise AllOutcomesMissingError(
+                    f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome"
+                )
+            var_mean[z, d] = cells.y_var(z, d) / k
+    return np.array([
+        assign_rate * (1 - assign_rate) / n,
+        take[1] * (1 - take[1]) / n1,
+        take[0] * (1 - take[0]) / n0,
+        var_survival[1, 1], var_survival[1, 0],
+        var_survival[0, 1], var_survival[0, 0],
+        var_mean[1, 1], var_mean[1, 0],
+        var_mean[0, 1], var_mean[0, 0],
+    ])

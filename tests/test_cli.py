@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from brokenrct import cli
 from brokenrct.cli import load_study_config, main
 from brokenrct.estimators import PaceEstimator
 from brokenrct.records import read_csv, write_csv
@@ -91,6 +92,26 @@ class TestAnalyze:
         assert code == 4
         assert out == ""
         assert "tsls" in err and "identity" in err
+
+    def test_comparator_scale_is_checked_before_imputing(self, capsys, tmp_path, monkeypatch):
+        arr, _ = generate(DgpConfig(n=2000, case=1), seed=83)
+        path = tmp_path / "missing.csv"
+        write_csv(path, delete_outcomes_mcar(arr, 0.2, seed=8))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return impute(*args, **kwargs)
+
+        impute = cli.impute_within_cells
+        monkeypatch.setattr(cli, "impute_within_cells", counted)
+        argv = ["analyze", "--input", str(path), "--method", "tsls", "--impute", "20"]
+        code, out, err = run_cli(capsys, argv + ["--scale", "logit"])
+        assert (code, out) == (4, "")
+        assert "tsls is a mean difference" in err
+        assert calls == []
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0 and calls == [(20, 0)]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
@@ -232,6 +253,15 @@ class TestSimulate:
         assert code == 4
         assert f"error: {field} must be" in err
         assert not (out_dir / "report.csv").exists()
+
+    def test_rejected_config_leaves_no_out_dir(self, capsys, tmp_path):
+        config = self.write_config(tmp_path, reps=0)
+        out_dir = tmp_path / "new" / "out"
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(config),
+                                        "--out-dir", str(out_dir)])
+        assert code == 4
+        assert "error: reps must be" in err
+        assert not (tmp_path / "new").exists()
 
     def test_empty_config_takes_run_study_defaults(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -125,8 +125,8 @@ def max_gradient_error(params, arm, step):
     for i in range(11):
         hi = CellParams.unpack(np.where(np.arange(11) == i, base + step, base))
         lo = CellParams.unpack(np.where(np.arange(11) == i, base - step, base))
-        numeric = (pace_identify(hi, warn_tolerance=0)[which]
-                   - pace_identify(lo, warn_tolerance=0)[which]) / (2 * step)
+        numeric = (pace_identify(hi)[which]
+                   - pace_identify(lo)[which]) / (2 * step)
         err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1.0)
         worst = max(worst, err)
     return worst

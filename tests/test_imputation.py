@@ -5,17 +5,11 @@ import pytest
 
 from brokenrct.errors import InvalidRecordError, NoDonorsError
 from brokenrct.estimation import estimate_pace, fit_cell_params
-from brokenrct.imputation import (
-    ImputedAnalysis,
-    impute_within_cells,
-    pool_estimates,
-    read_completed_dir,
-    rubin_pool,
-)
+from brokenrct.imputation import impute_within_cells, pool_estimates, read_completed_dir
 from brokenrct.records import cells_from_arrays, ingest, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import delete_outcomes_mcar, delete_survival_mcar
+from helpers import dataset_estimates, delete_outcomes_mcar, delete_survival_mcar
 
 
 def analyse(arr):
@@ -109,14 +103,13 @@ class TestImputer:
 
 class TestRubinPool:
     def test_degenerate_identical_estimates(self):
-        analysis = ImputedAnalysis(estimates=[2.0] * 5, within_var=[0.09] * 5)
-        pooled = rubin_pool(analysis)
+        pooled = pool_estimates(dataset_estimates([2.0] * 5, [0.09] * 5))
         assert pooled.tau == 2.0
         assert pooled.between == 0.0
         assert pooled.se == pytest.approx(0.3, abs=1e-15)
 
     def test_hand_arithmetic(self):
-        pooled = rubin_pool(ImputedAnalysis(estimates=[1.0, 3.0], within_var=[0.0, 0.0]))
+        pooled = pool_estimates(dataset_estimates([1.0, 3.0], [0.0, 0.0]))
         assert pooled.tau == pytest.approx(2.0, abs=1e-15)
         assert pooled.between == pytest.approx(2.0, abs=1e-15)
         assert pooled.total_var == pytest.approx(3.0, abs=1e-12)
@@ -124,13 +117,10 @@ class TestRubinPool:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        estimates = rng.normal(size=9)
-        within = rng.random(9)
-        base = rubin_pool(ImputedAnalysis(estimates=estimates, within_var=within))
+        estimates = dataset_estimates(rng.normal(size=9), rng.random(9))
+        base = pool_estimates(estimates)
         for _ in range(5):
-            order = rng.permutation(9)
-            other = rubin_pool(ImputedAnalysis(estimates=estimates[order],
-                                               within_var=within[order]))
+            other = pool_estimates([estimates[i] for i in rng.permutation(9)])
             assert other.tau == pytest.approx(base.tau, abs=1e-15)
             assert other.se == pytest.approx(base.se, abs=1e-15)
 
@@ -138,20 +128,15 @@ class TestRubinPool:
         rng = np.random.default_rng(7)
         for _ in range(25):
             m = int(rng.integers(2, 12))
-            analysis = ImputedAnalysis(estimates=rng.normal(size=m),
-                                       within_var=rng.random(m))
-            pooled = rubin_pool(analysis)
+            taus = rng.normal(size=m)
+            pooled = pool_estimates(dataset_estimates(taus, rng.random(m)))
             assert pooled.total_var >= pooled.within - 1e-15
-            if np.ptp(analysis.estimates) > 0:
+            if np.ptp(taus) > 0:
                 assert pooled.total_var > pooled.within
 
     def test_requires_two_datasets(self):
         with pytest.raises(ValueError):
-            rubin_pool(ImputedAnalysis(estimates=[1.0], within_var=[0.1]))
-
-    def test_negative_within_rejected(self):
-        with pytest.raises(ValueError):
-            ImputedAnalysis(estimates=[1.0, 2.0], within_var=[-0.1, 0.2])
+            pool_estimates(dataset_estimates([1.0], [0.1]))
 
 
 class TestCompletedDir:
