@@ -129,12 +129,14 @@ def cmd_analyze(args) -> int:
 
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        params, _ = fit_cell_params(cells)
+        params, cov = fit_cell_params(cells)
         strata = strata_proportions(params)
         survival = complier_survival(params)
         results = {}
         for method in methods:
-            if datasets is None:
+            if datasets is None and method == "pace":
+                est = estimate_pace(params, cov, args.level, cells.n_records, args.scale)
+            elif datasets is None:
                 est = estimate(cells, method, args.level, args.scale)
             else:
                 est = pool_estimates([estimate(dataset, method, args.level, args.scale)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -22,9 +23,8 @@ from functools import partial
 import numpy as np
 
 from .comparators import METHODS, estimate
-from .errors import EstimationError
+from .errors import EstimationError, WeakDenominatorWarning
 from .estimation import estimate_pace, fit_cell_params
-from .identify import DENOMINATOR_WARN_TOLERANCE, pace_denominators
 from .records import cells_from_arrays
 
 CASES = (1, 2, 3, 4)
@@ -190,12 +190,12 @@ def _run_pace(cells):
     # a replication whose mixing denominator falls in the warning band is a
     # failure here: its point estimate is arbitrarily unstable and would
     # poison the study moments
-    den1, den0 = pace_denominators(params)
-    if min(abs(den1), abs(den0)) < DENOMINATOR_WARN_TOLERANCE:
-        raise EstimationError(
-            f"mixing denominator below {DENOMINATOR_WARN_TOLERANCE:g} in this replication"
-        )
-    return estimate_pace(params, cov, level=0.95, n=cells.n_records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WeakDenominatorWarning)
+        try:
+            return estimate_pace(params, cov, level=0.95, n=cells.n_records)
+        except WeakDenominatorWarning as exc:
+            raise EstimationError(str(exc)) from None
 
 
 #: study estimators by name: each maps one replication's cells to an Estimate

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from brokenrct import cli
+from brokenrct import cli, comparators
 from brokenrct.cli import load_study_config, main
 from brokenrct.estimators import PaceEstimator
 from brokenrct.records import read_csv, write_csv
@@ -170,6 +170,41 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out)
         assert payload["mode"] == "completed-dir m=3"
+
+    def test_completed_dir_lf_and_crlf_agree(self, capsys, tmp_path):
+        from brokenrct.imputation import impute_within_cells
+
+        arr, _ = generate(DgpConfig(n=1500, case=2), seed=84)
+        damaged = delete_outcomes_mcar(arr, 0.2, seed=11)
+        outputs = []
+        for ending in ("crlf", "lf"):
+            folder = tmp_path / ending
+            folder.mkdir()
+            paths = [tmp_path / f"{ending}.csv"] + [folder / f"imp{i}.csv" for i in range(3)]
+            for path, dataset in zip(paths, [damaged] + impute_within_cells(damaged, 3, 1)):
+                write_csv(path, dataset)   # CRLF line ends
+                if ending == "lf":
+                    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+                assert (b"\r" in path.read_bytes()) == (ending == "crlf")
+            code, out, _ = run_cli(capsys, [
+                "analyze", "--input", str(paths[0]), "--completed-dir", str(folder),
+                "--method", "pace", "--method", "itt", "--format", "json"])
+            assert code == 0
+            outputs.append(out.replace(str(paths[0]), "INPUT"))
+        assert outputs[0] == outputs[1]
+
+    def test_pace_fits_cell_params_once(self, capsys, study_csv, monkeypatch):
+        calls = []
+
+        def counted(cells):
+            calls.append(cells)
+            return fit(cells)
+
+        fit = cli.fit_cell_params
+        monkeypatch.setattr(cli, "fit_cell_params", counted)
+        monkeypatch.setattr(comparators, "fit_cell_params", counted)
+        code, _, _ = run_cli(capsys, ["analyze", "--input", str(study_csv), "--method", "pace"])
+        assert code == 0 and len(calls) == 1
 
     def test_csv_format_round_trips(self, capsys, study_csv):
         code, out, _ = run_cli(capsys, [

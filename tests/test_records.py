@@ -10,6 +10,8 @@ from brokenrct.estimation import fit_cell_params
 from brokenrct.records import (
     STRATA,
     ObservationRecord,
+    _read_csv_lines,
+    _read_plain_csv,
     as_array,
     cells_from_arrays,
     ingest,
@@ -111,14 +113,14 @@ FIELD_VALUES = (0.0, 1.0, 2.0, -1.0, 0.5, math.nan, math.inf, -math.inf)
 
 
 @st.composite
-def corrupted_arrays(draw):
+def corrupted_arrays(draw, corrupt=True):
     """(n, 6) arrays of 1-40 rows: valid records, a few fields then corrupted.
 
-    Rows start as valid records of every kind.  One row may be replaced by
-    six fields from FIELD_VALUES or the finite floats, and up to four single
-    fields are flipped (v -> 1 - v) or overwritten from FIELD_VALUES, so
-    every rule, ties between rules within a row and later invalid rows all
-    come up.
+    Rows start as valid records of every kind.  Unless ``corrupt`` is false,
+    one row may be replaced by six fields from FIELD_VALUES or the finite
+    floats, and up to four single fields are flipped (v -> 1 - v) or
+    overwritten from FIELD_VALUES, so every rule, ties between rules within
+    a row and later invalid rows all come up.
     """
     field = st.one_of(st.sampled_from(FIELD_VALUES),
                       st.floats(allow_nan=False, allow_infinity=False))
@@ -133,9 +135,9 @@ def corrupted_arrays(draw):
                      "missing_s": [z, d, 0, math.nan, 0, math.nan]}[kind])
     arr = np.asarray(rows, dtype=float)
     row = st.integers(0, n - 1)
-    if draw(st.booleans()):
+    if corrupt and draw(st.booleans()):
         arr[draw(row)] = [draw(field) for _ in range(6)]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 4)) if corrupt else 0):
         i, j = draw(row), draw(st.integers(0, 5))
         arr[i, j] = draw(st.one_of(st.just(1.0 - arr[i, j]), st.sampled_from(FIELD_VALUES)))
     return arr
@@ -248,6 +250,138 @@ def test_csv_schema_errors(tmp_path):
     path.write_text("")
     with pytest.raises(SchemaError):
         read_csv(path)
+
+
+HEADER = "z,d,delta_s,s,delta_y,y"
+
+
+def plain_lines(arr):
+    """Data lines as the plain layout writes them: integers, repr floats, blank = nan."""
+    def text(value, column):
+        if math.isnan(value):
+            return ""
+        if column == 5 or not float(value).is_integer():
+            return repr(float(value))
+        return str(int(value))
+
+    return [[text(v, j) for j, v in enumerate(row)] for row in arr.tolist()]
+
+
+VALUE_EDITS = (
+    lambda f: f" {f} ", lambda f: f"\t{f}", lambda f: " ", lambda f: "", lambda f: "nan",
+    lambda f: "NaN", lambda f: "oops", lambda f: "1_0", lambda f: "\u0661", lambda f: "\x1c1",
+)
+LAYOUT_EDITS = (lambda f: f'"{f}"', lambda f: f'"{f}', lambda f: f + ",",
+                lambda f: f + "\r", lambda f: "\r" + f)
+HEADERS = ("\ufeff" + HEADER,) * 2 + (" z, d,delta_s,s,delta_y,y ", "z,d,delta_s,s,delta_y",
+                                     '"z",d,delta_s,s,delta_y,y')
+LINE_ENDS = ("\n", "\r\n", "\r")
+FAULTS = ("none",) * 3 + ("field", "line", "shift", "header", "ends", "odd end",
+                         "no final newline")
+
+
+@st.composite
+def csv_texts(draw):
+    """Dataset files in the plain layout, most with one layout fault.
+
+    The data lines render a :func:`corrupted_arrays` draw, uncorrupted half
+    the time, or rarely no rows.  Up to three fields are edited: padded,
+    blank, literal nan, non-numeric or unusual numerals.  The fault is one
+    of: a quote, comma or CR in a field; an added blank, whitespace-only,
+    5-field or 7-field line; a 5-field line followed by a 7-field one;
+    another header; CRLF or lone-CR line ends; one odd line end; no final
+    newline.
+    """
+    fault = draw(st.sampled_from(FAULTS))
+    arr = draw(corrupted_arrays(corrupt=draw(st.booleans())))
+    rows = plain_lines(arr) if draw(st.integers(0, 9)) else []
+    for edits in [VALUE_EDITS] * draw(st.sampled_from((0, 0, 1, 3))) + [
+            LAYOUT_EDITS] * (fault == "field"):
+        if rows:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
+            rows[i][j] = draw(st.sampled_from(edits))(rows[i][j])
+    i = draw(st.integers(0, len(rows) - 1)) if rows else None
+    if fault == "line" and rows:
+        rows.insert(i, draw(st.sampled_from(([""], ["  "], rows[i][:-1], rows[i] + ["1"]))))
+    elif fault == "shift" and rows and i + 1 < len(rows):
+        # the last field moves to the next line: a flat field count still fits
+        rows[i], rows[i + 1] = rows[i][:-1], rows[i][-1:] + rows[i + 1]
+    header = draw(st.sampled_from(HEADERS)) if fault == "header" else HEADER
+    lines = [header] + [",".join(row) for row in rows]
+    ends = [draw(st.sampled_from(LINE_ENDS[1:])) if fault == "ends" else "\n"] * len(lines)
+    if fault == "odd end":
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(LINE_ENDS + ("",)))
+    elif fault == "no final newline":
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def parse_outcome(parse, path):
+    try:
+        arr = parse(path)
+    except SchemaError as exc:
+        return "SchemaError", exc.line, str(exc)
+    return arr.shape, arr.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=csv_texts())
+def test_read_csv_matches_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
+PLAIN = HEADER + "\n1,1,1,1,1,2.5\n0,1,1,0,0,\n1,0,0,,0,\n0,0,1,1,0,\n"
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff" + PLAIN,                                    # BOM before the header
+    PLAIN.replace("z,d", " z, d", 1),                    # padded header, accepted
+    PLAIN.replace("\n", "\r\n"),
+    PLAIN.replace("\n", "\r"),
+    PLAIN.replace("1,1,1,1,1", "1,1\r,1,1,1", 1),         # CR inside a line
+    PLAIN.replace(",2.5\n0", "\n2.5,0", 1),              # 5 fields, then 7
+    PLAIN.replace("\n0,1", "\n\n0,1", 1),                 # blank line
+    PLAIN.replace("\n0,1", "\n  \n0,1", 1),               # whitespace-only line
+    PLAIN.replace("\n0,1", "\n,,,,,\n0,1", 1),            # all fields blank
+    PLAIN.replace("0,1,1,0,0", "nan,1,1,0,0", 1),
+    PLAIN.replace("0,1,1,0,0", ",1,1,0,0", 1),
+    PLAIN.replace("1,0,0,,0", "1,0,0,,,", 1),            # blank delta_y
+    PLAIN.replace("0,1,1,0,0,", "0,1,1, ,0,", 1),         # whitespace-only s
+    PLAIN.replace("0,1,1,0,0,", '"0",1,1,0,0,', 1),
+    PLAIN.replace("2.5", "oops", 1),
+    PLAIN.replace("0,0,1,1,0,", "1,1,0,,1,", 1) + "1,1,1,1,1,oops\n",  # record, then parse error
+    PLAIN[:-1],                                           # no final newline
+    HEADER + "\n",
+    "",
+    # a parse error, then an undecodable byte past the first block read
+    (PLAIN + "1,1,1,1,1,oops\n" + "0,0,1,1,0,\n" * 1000).encode() + b"\xff\n",
+])
+def test_listed_layouts_are_parsed_line_by_line(tmp_path, text):
+    path = tmp_path / "layout.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert _read_plain_csv(path) is None
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
+def test_lf_and_crlf_files_parse_alike(tmp_path, monkeypatch):
+    arr, _ = generate(DgpConfig(n=300, case=2), seed=6)
+    arr[::5, 4:6] = (0.0, np.nan)
+    text = "\n".join([HEADER] + [",".join(row) for row in plain_lines(arr)]) + "\n"
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return _read_csv_lines(path)
+
+    monkeypatch.setattr("brokenrct.records._read_csv_lines", counted)
+    from_lf, from_crlf = read_csv(lf), read_csv(crlf)
+    assert calls == [crlf]
+    assert from_lf.tobytes() == from_crlf.tobytes() == arr.tobytes()
 
 
 def test_as_array_accepts_dataframe():

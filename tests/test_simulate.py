@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from brokenrct import simulate
+from brokenrct import identify, simulate
+from brokenrct.errors import EstimationError
+from brokenrct.estimation import fit_cell_params
+from brokenrct.identify import DENOMINATOR_WARN_TOLERANCE
+from brokenrct.records import cells_from_arrays
 from brokenrct.simulate import (
     DgpConfig,
     ESTIMATORS,
@@ -10,7 +14,7 @@ from brokenrct.simulate import (
     true_pace,
 )
 
-from helpers import case1_params_oracle
+from helpers import case1_params_oracle, pace_denominators_twin
 
 
 class TestGenerate:
@@ -146,6 +150,30 @@ class TestRunStudy:
         row = report.row(1, 12, "pace")
         assert 0 < row.failures < row.reps
         assert np.isfinite(row.bias)
+
+    def test_pace_identifies_once_and_rejects_the_warning_band(self, monkeypatch):
+        masses, calls = identify.survivor_masses, []
+
+        def counted(params):
+            calls.append(params)
+            return masses(params)
+
+        monkeypatch.setattr(identify, "survivor_masses", counted)
+        config = DgpConfig(n=300, case=1, p_d1_given_not_d0=0.1)
+        rejected = 0
+        for seed in range(40):
+            cells = cells_from_arrays(*generate(config, seed)[0].T)
+            den = pace_denominators_twin(fit_cell_params(cells)[0])
+            in_band = min(map(abs, den)) < DENOMINATOR_WARN_TOLERANCE
+            calls.clear()
+            if in_band:
+                with pytest.raises(EstimationError, match="mixing denominator is small"):
+                    ESTIMATORS["pace"](cells)
+            else:
+                assert np.isfinite(ESTIMATORS["pace"](cells).tau)
+            assert len(calls) == 1
+            rejected += in_band
+        assert 0 < rejected < 40
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="^estimators must be"):
