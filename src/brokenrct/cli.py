@@ -33,6 +33,9 @@ EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
+#: the columns of each estimate in an analyze report, after method and scale
+ESTIMATE_COLUMNS = ("estimate", "se", "ci_lower", "ci_upper", "p_value")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="estimate effects from a dataset CSV")
     analyze.add_argument("--input", required=True, help="dataset CSV (z,d,delta_s,s,delta_y,y)")
-    analyze.add_argument("--method", action="append", choices=("pace",) + METHODS,
+    analyze.add_argument("--method", action="append", choices=METHODS,
                          help="estimator to run (repeatable; default: pace)")
     analyze.add_argument("--scale", choices=SCALES, default="identity",
                          help="estimand scale for the pace method; the comparator "
@@ -99,11 +102,9 @@ def main(argv=None) -> int:
 def cmd_analyze(args) -> int:
     methods = args.method or ["pace"]
     if args.impute is not None and args.completed_dir is not None:
-        print("error: --impute and --completed-dir are mutually exclusive", file=sys.stderr)
-        return EXIT_IO
+        raise ValueError("--impute and --completed-dir are mutually exclusive")
     if args.impute is not None and args.impute < 2:
-        print("error: --impute requires M >= 2 for pooled variance", file=sys.stderr)
-        return EXIT_IO
+        raise ValueError("--impute requires M >= 2 for pooled variance")
     for method in methods:
         check_scale(method, args.scale)
     arr = read_csv(args.input)
@@ -173,12 +174,9 @@ def _render_analyze(payload, fmt: str) -> str:
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(["method", "scale", "estimate", "se",
-                         "ci_lower", "ci_upper", "p_value"])
+        writer.writerow(["method", "scale", *ESTIMATE_COLUMNS])
         for method, cell in payload["estimates"].items():
-            writer.writerow([method, payload["scale"], repr(cell["estimate"]),
-                             repr(cell["se"]), repr(cell["ci_lower"]),
-                             repr(cell["ci_upper"]), repr(cell["p_value"])])
+            writer.writerow([method, payload["scale"], *(repr(cell[c]) for c in ESTIMATE_COLUMNS)])
         return buffer.getvalue()
     lines = [
         f"brokenrct {payload['version']}",
@@ -191,15 +189,11 @@ def _render_analyze(payload, fmt: str) -> str:
         "complier survival:  treated {treated:.6f}  control {control:.6f}  "
         "effect {effect:.6f}".format(**payload["complier_survival"]),
         "",
-        f"{'method':<8}{'scale':<10}{'estimate':>12}{'se':>12}"
-        f"{'ci_lower':>12}{'ci_upper':>12}{'p_value':>12}",
+        f"{'method':<8}{'scale':<10}" + "".join(f"{c:>12}" for c in ESTIMATE_COLUMNS),
     ]
     for method, cell in payload["estimates"].items():
-        lines.append(
-            f"{method:<8}{payload['scale']:<10}{cell['estimate']:>12.6f}"
-            f"{cell['se']:>12.6f}{cell['ci_lower']:>12.6f}"
-            f"{cell['ci_upper']:>12.6f}{cell['p_value']:>12.6f}"
-        )
+        lines.append(f"{method:<8}{payload['scale']:<10}"
+                     + "".join(f"{cell[c]:>12.6f}" for c in ESTIMATE_COLUMNS))
     for message in payload["warnings"]:
         lines.append(f"warning: {message}")
     return "\n".join(lines) + "\n"
@@ -266,7 +260,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_effect_series(args) -> int:
-    rows = []
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, restval="", fieldnames=[
+        "period", "input", "n", "s1_complier", "s0_complier", "survival_effect",
+        "tau", "se", "ci_lower", "ci_upper", "status"])
+    writer.writeheader()
     for period, path in enumerate(args.inputs, start=1):
         row = {"period": period, "input": path}
         try:
@@ -286,18 +284,8 @@ def cmd_effect_series(args) -> int:
                 status="ok",
             )
         except (BrokenRctError, OSError) as exc:
-            row.update(n="", s1_complier="", s0_complier="", survival_effect="",
-                       tau="", se="", ci_lower="", ci_upper="",
-                       status=f"error: {exc}")
-        rows.append(row)
-    buffer = io.StringIO()
-    names = ["period", "input", "n", "s1_complier", "s0_complier",
-             "survival_effect", "tau", "se", "ci_lower", "ci_upper", "status"]
-    writer = csv.DictWriter(buffer, fieldnames=names)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v
-                         for k, v in row.items()})
+            row["status"] = f"error: {exc}"
+        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
     _emit(buffer.getvalue(), args.output)
     return EXIT_OK
 

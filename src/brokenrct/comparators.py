@@ -21,7 +21,8 @@ from .errors import DenominatorDegenerateError, EmptyCellError
 from .estimation import Estimate, estimate_pace, fit_cell_params, normal_interval
 from .records import ingest, pool_moments
 
-METHODS = ("tsls", "itt", "at", "pp")
+#: every estimator by name: the main one, then the comparators
+METHODS = ("pace", "tsls", "itt", "at", "pp")
 
 
 def tsls_survivors(records, level: float = 0.95) -> Estimate:
@@ -91,7 +92,7 @@ def check_scale(method: str, scale: str) -> None:
 
 
 def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -> Estimate:
-    """The effect by ``method``: "pace" (a PaceEstimate on ``scale``) or one of :data:`METHODS`.
+    """The effect by ``method``, one of :data:`METHODS`: "pace" is a PaceEstimate on ``scale``.
 
     A comparator with any scale but "identity" raises ``ValueError``
     (:func:`check_scale`).

@@ -318,8 +318,9 @@ def warn_if_weak(report: ValidationReport) -> None:
 def read_csv(path) -> np.ndarray:
     """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing).
 
-    An LF-terminated, unquoted file is parsed in bulk, every other file line
-    by line, with the same results and errors.  Errors name the first
+    The file is UTF-8, with or without a byte order mark.  An LF-terminated,
+    unquoted file is parsed in bulk, every other file line by line, with
+    the same results and errors.  Errors name the first
     offending line: an invalid record on an earlier line is reported before
     a parse error on a later one.
     """
@@ -336,7 +337,7 @@ def _read_plain_csv(path) -> np.ndarray | None:
     each line ending in LF, and a number in every field but a blank s or y.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         return None
@@ -360,7 +361,7 @@ def _read_csv_lines(path) -> np.ndarray:
     not parsed in bulk, and the reference the bulk parser is tested against."""
     rows, lines = [], []
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -407,9 +408,10 @@ def _check_csv_rows(path, rows, lines) -> np.ndarray:
 
 
 def write_csv(path, arr) -> None:
+    """Write a dataset CSV with LF line ends, which :func:`read_csv` parses in bulk."""
     arr = np.asarray(arr, dtype=float)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COLUMNS)
         for row in arr:
             out = []

@@ -17,15 +17,13 @@ import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .comparators import METHODS, estimate
 from .errors import EstimationError, WeakDenominatorWarning
-from .estimation import estimate_pace, fit_cell_params
-from .records import cells_from_arrays
+from .records import STRATA, cells_from_arrays
 
 CASES = (1, 2, 3, 4)
 
@@ -108,17 +106,14 @@ class PotentialData:
         return self.complier & (self.s1 == 1) & (self.s0 == 1)
 
     def stratum_labels(self) -> np.ndarray:
+        """Each unit's :data:`~brokenrct.records.STRATA` label; a None survival is not tested."""
         labels = np.empty(self.z.size, dtype="<U2")
-        alw, nev = self.d0 == 1, self.d1 == 0
-        comp = self.complier
-        labels[alw & (self.s1 == 1)] = "al"
-        labels[alw & (self.s1 == 0)] = "ad"
-        labels[comp & (self.s1 == 1) & (self.s0 == 1)] = "cl"
-        labels[comp & (self.s1 == 1) & (self.s0 == 0)] = "cp"
-        labels[comp & (self.s1 == 0) & (self.s0 == 1)] = "ch"
-        labels[comp & (self.s1 == 0) & (self.s0 == 0)] = "cd"
-        labels[nev & (self.s0 == 1)] = "nl"
-        labels[nev & (self.s0 == 0)] = "nd"
+        for stratum in STRATA:
+            mask = (self.d1 == stratum.d1) & (self.d0 == stratum.d0)
+            for survived, value in ((self.s1, stratum.s1), (self.s0, stratum.s0)):
+                if value is not None:
+                    mask &= survived == value
+            labels[mask] = stratum.label
         return labels
 
 
@@ -185,21 +180,19 @@ def true_pace(config: DgpConfig, oracle_n: int = 1_000_000, seed=2718281828) -> 
     return float((potential.y1[keep] - potential.y0[keep]).mean())
 
 
-def _run_pace(cells):
-    params, cov = fit_cell_params(cells)
-    # a replication whose mixing denominator falls in the warning band is a
-    # failure here: its point estimate is arbitrarily unstable and would
-    # poison the study moments
+def _estimate(cells, method: str):
+    """One replication's :func:`~brokenrct.comparators.estimate` by ``method``.
+
+    A replication whose mixing denominator falls in the warning band raises
+    :class:`EstimationError`, as a failure of the replication: its point
+    estimate is arbitrarily unstable and would poison the study moments.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", WeakDenominatorWarning)
         try:
-            return estimate_pace(params, cov, level=0.95, n=cells.n_records)
+            return estimate(cells, method)
         except WeakDenominatorWarning as exc:
             raise EstimationError(str(exc)) from None
-
-
-#: study estimators by name: each maps one replication's cells to an Estimate
-ESTIMATORS = {"pace": _run_pace, **{m: partial(estimate, method=m) for m in METHODS}}
 
 
 @dataclass
@@ -234,22 +227,16 @@ class SimulationReport:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["case", "n", "estimator", "reps", "failures",
-                             "true_tau", "bias", "sd", "mean_se", "cp"])
+            writer.writerow(f.name for f in fields(StudyRow))
             for r in self.rows:
-                writer.writerow([
-                    r.case, r.n, r.estimator, r.reps, r.failures,
-                    repr(r.true_tau), repr(r.bias), repr(r.sd),
-                    repr(r.mean_se), repr(r.cp),
-                ])
+                writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(r))
 
     def format_table(self) -> str:
         cases = sorted({r.case for r in self.rows})
         sizes = sorted({r.n for r in self.rows})
-        estimators = []
-        for r in self.rows:
-            if r.estimator not in estimators:
-                estimators.append(r.estimator)
+        estimators = list(dict.fromkeys(r.estimator for r in self.rows))
+        # reversed: the first of two rows with one key is the one shown
+        index = {(r.case, r.n, r.estimator): r for r in reversed(self.rows)}
         width = 9
         lines = []
         header1 = " " * 14 + "".join(
@@ -266,19 +253,11 @@ class SimulationReport:
             return f"{value:>{width}.3f}" if math.isfinite(value) else f"{'NA':>{width}}"
 
         for n in sizes:
-            for metric in ("bias", "sd", "se", "cp"):
+            for metric, attribute in (("bias", "bias"), ("sd", "sd"), ("se", "mean_se"),
+                                      ("cp", "cp")):
                 label = f"{n:>6}" if metric == "bias" else " " * 6
-                cells = []
-                for c in cases:
-                    for e in estimators:
-                        try:
-                            r = self.row(c, n, e)
-                        except KeyError:
-                            cells.append(f"{'--':>{width}}")
-                            continue
-                        value = {"bias": r.bias, "sd": r.sd,
-                                 "se": r.mean_se, "cp": r.cp}[metric]
-                        cells.append(fmt(value))
+                cells = [fmt(getattr(index[c, n, e], attribute)) if (c, n, e) in index
+                         else f"{'--':>{width}}" for c in cases for e in estimators]
                 lines.append(f"{label} {metric:<7}" + "".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -295,7 +274,7 @@ def _run_chunk(task):
         cells = cells_from_arrays(*arr.T)
         for name in estimator_names:
             try:
-                out[name].append(ESTIMATORS[name](cells))
+                out[name].append(_estimate(cells, name))
             except EstimationError:
                 out[name].append(None)
     return out
@@ -327,10 +306,13 @@ def run_study(
 ) -> SimulationReport:
     """Monte Carlo study over cases and sample sizes.
 
-    Every replication owns a counter-keyed generator stream, so results are
-    reproducible for any ``n_jobs`` and replications can run in parallel.
-    Estimator failures (degenerate denominators at small n) are counted per
-    row, not fatal.
+    ``estimators`` are names from :data:`~brokenrct.comparators.METHODS`,
+    each run on every replication's cells by
+    :func:`~brokenrct.comparators.estimate`.  Every replication owns a
+    counter-keyed generator stream, so results are reproducible for any
+    ``n_jobs`` and replications can run in parallel.  Estimator failures
+    (degenerate denominators at small n, and a pace denominator in the
+    warning band) are counted per row, not fatal.
 
     The study is one flat list of (case, size, replication chunk) tasks run
     by one map: with ``n_jobs > 1`` a single process pool of ``n_jobs``
@@ -360,8 +342,8 @@ def run_study(
                           f"cases from {list(CASES)}")
     sizes = _checked_list("sizes", sizes, lambda n: _is_int(n, 1), "integers >= 1")
     estimators = _checked_list("estimators", estimators,
-                               lambda e: isinstance(e, str) and e in ESTIMATORS,
-                               f"estimators from {sorted(ESTIMATORS)}")
+                               lambda e: isinstance(e, str) and e in METHODS,
+                               f"estimators from {sorted(METHODS)}")
     base = config or DgpConfig()
     grid = [(case, size_index, n) for case in cases for size_index, n in enumerate(sizes)]
     chunks = _chunk_ranges(reps, n_jobs)

@@ -44,7 +44,7 @@ from brokenrct.identify import (
 )
 from brokenrct.imputation import pool_estimates
 from brokenrct.records import cells_from_arrays, ingest, write_csv
-from brokenrct.simulate import ESTIMATORS, DgpConfig, generate, run_study
+from brokenrct.simulate import DgpConfig, _estimate, generate, run_study
 
 from helpers import (
     dataset_estimates,
@@ -225,7 +225,7 @@ def replicate_estimates(case, size_index, n, reps, seed):
         cells = cells_from_arrays(*arr.T)
         for j, name in enumerate(("pace", "tsls")):
             try:
-                taus[rep, j] = ESTIMATORS[name](cells).tau
+                taus[rep, j] = _estimate(cells, name).tau
             except EstimationError:
                 pass
     return taus

@@ -149,9 +149,13 @@ class TestAnalyze:
         assert pace["p_value"] == est.p_value_
 
     def test_impute_requires_m_at_least_two(self, capsys, study_csv):
-        code, _, err = run_cli(capsys, [
-            "analyze", "--input", str(study_csv), "--impute", "1"])
-        assert code == 4
+        result = run_cli(capsys, ["analyze", "--input", str(study_csv), "--impute", "1"])
+        assert result == (4, "", "error: --impute requires M >= 2 for pooled variance\n")
+
+    def test_impute_and_completed_dir_are_exclusive(self, capsys, study_csv, tmp_path):
+        result = run_cli(capsys, ["analyze", "--input", str(study_csv), "--impute", "1",
+                                  "--completed-dir", str(tmp_path)])
+        assert result == (4, "", "error: --impute and --completed-dir are mutually exclusive\n")
 
     def test_completed_dir_mode(self, capsys, tmp_path):
         from brokenrct.imputation import impute_within_cells
@@ -182,9 +186,9 @@ class TestAnalyze:
             folder.mkdir()
             paths = [tmp_path / f"{ending}.csv"] + [folder / f"imp{i}.csv" for i in range(3)]
             for path, dataset in zip(paths, [damaged] + impute_within_cells(damaged, 3, 1)):
-                write_csv(path, dataset)   # CRLF line ends
-                if ending == "lf":
-                    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+                write_csv(path, dataset)   # LF line ends
+                if ending == "crlf":
+                    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
                 assert (b"\r" in path.read_bytes()) == (ending == "crlf")
             code, out, _ = run_cli(capsys, [
                 "analyze", "--input", str(paths[0]), "--completed-dir", str(folder),
@@ -346,7 +350,9 @@ class TestEffectSeries:
         code, out, _ = run_cli(capsys, ["effect-series", str(bad), str(good)])
         assert code == 0
         lines = out.strip().splitlines()
-        assert "error" in lines[1]
+        # the error row leaves every field blank but period, input and status
+        assert lines[1] == (f'1,{bad},,,,,,,,,"error: cell (z=0, d=0, s=1) has survivors '
+                            'but no observed outcome"')
         assert lines[2].split(",")[-1] == "ok"
 
     def test_output_file(self, capsys, tmp_path):

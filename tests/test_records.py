@@ -231,6 +231,8 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(path, arr)
     back = read_csv(path)
+    # LF line ends: the file takes the bulk path
+    assert _read_plain_csv(path).tobytes() == back.tobytes()
     assert back.shape == arr.shape
     assert np.array_equal(np.isnan(back), np.isnan(arr))
     assert np.array_equal(back[~np.isnan(back)], arr[~np.isnan(arr)])
@@ -336,7 +338,6 @@ PLAIN = HEADER + "\n1,1,1,1,1,2.5\n0,1,1,0,0,\n1,0,0,,0,\n0,0,1,1,0,\n"
 
 
 @pytest.mark.parametrize("text", [
-    "\ufeff" + PLAIN,                                    # BOM before the header
     PLAIN.replace("z,d", " z, d", 1),                    # padded header, accepted
     PLAIN.replace("\n", "\r\n"),
     PLAIN.replace("\n", "\r"),
@@ -363,6 +364,17 @@ def test_listed_layouts_are_parsed_line_by_line(tmp_path, text):
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert _read_plain_csv(path) is None
     assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
+def test_bom_file_is_parsed_in_bulk(tmp_path):
+    # a spreadsheet "CSV UTF-8" export starts with a byte order mark
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(PLAIN.encode())
+    bom.write_bytes(("\ufeff" + PLAIN).encode())
+    assert _read_plain_csv(bom).tobytes() == _read_plain_csv(plain).tobytes()
+    outcome = parse_outcome(read_csv, bom)
+    assert outcome == parse_outcome(_read_csv_lines, bom) == parse_outcome(read_csv, plain)
+    assert outcome[0] == (4, 6)
 
 
 def test_lf_and_crlf_files_parse_alike(tmp_path, monkeypatch):

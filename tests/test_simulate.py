@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from brokenrct import identify, simulate
+from brokenrct.cli import build_parser
+from brokenrct.comparators import METHODS
 from brokenrct.errors import EstimationError
 from brokenrct.estimation import fit_cell_params
 from brokenrct.identify import DENOMINATOR_WARN_TOLERANCE
 from brokenrct.records import cells_from_arrays
 from brokenrct.simulate import (
     DgpConfig,
-    ESTIMATORS,
+    SimulationReport,
+    StudyRow,
+    _estimate,
     generate,
     run_study,
     true_pace,
@@ -168,9 +172,9 @@ class TestRunStudy:
             calls.clear()
             if in_band:
                 with pytest.raises(EstimationError, match="mixing denominator is small"):
-                    ESTIMATORS["pace"](cells)
+                    _estimate(cells, "pace")
             else:
-                assert np.isfinite(ESTIMATORS["pace"](cells).tau)
+                assert np.isfinite(_estimate(cells, "pace").tau)
             assert len(calls) == 1
             rejected += in_band
         assert 0 < rejected < 40
@@ -180,7 +184,12 @@ class TestRunStudy:
             run_study(cases=(1,), sizes=(100,), reps=5, estimators=("magic",), seed=1)
 
     def test_registry_covers_cli_methods(self):
-        assert set(ESTIMATORS) == {"pace", "tsls", "itt", "at", "pp"}
+        analyze = build_parser()._subparsers._group_actions[0].choices["analyze"]
+        method = next(a for a in analyze._actions if a.dest == "method")
+        assert method.choices == METHODS == ("pace", "tsls", "itt", "at", "pp")
+        report = run_study(cases=(1,), sizes=(300,), reps=3, estimators=METHODS,
+                           seed=1, oracle_n=10_000)
+        assert [r.estimator for r in report.rows] == list(METHODS)
 
     def test_csv_and_table_rendering(self, tmp_path):
         report = run_study(cases=(1,), sizes=(300,), reps=30,
@@ -199,3 +208,38 @@ class TestRunStudy:
         row = report.row(1, 400, "pace")
         assert np.isnan(row.sd)
         assert "NA" in report.format_table()
+
+
+def test_renderers_on_a_hand_built_report(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    report = SimulationReport(rows=[
+        StudyRow(2, 500, "tsls", 10, 0, 0.5, 1 / 3, 0.25, 0.0625, 0.9),
+        StudyRow(2, 500, "pace", 10, 3, 0.5, -0.0625, nan, inf, 1.0),
+        StudyRow(1, 100, "pace", 10, 10, 1.0, nan, nan, nan, nan),
+        # a repeated (case, n, estimator) is written out but not tabulated
+        StudyRow(2, 500, "tsls", 10, 0, 0.5, 9.0, 9.0, 9.0, 0.0),
+    ], seed=1, reps=10, oracle_n=100)
+    path = tmp_path / "report.csv"
+    report.to_csv(path)
+    assert path.read_bytes() == (
+        b"case,n,estimator,reps,failures,true_tau,bias,sd,mean_se,cp\r\n"
+        b"2,500,tsls,10,0,0.5,0.3333333333333333,0.25,0.0625,0.9\r\n"
+        b"2,500,pace,10,3,0.5,-0.0625,nan,inf,1.0\r\n"
+        b"1,100,pace,10,10,1.0,nan,nan,nan,nan\r\n"
+        b"2,500,tsls,10,0,0.5,9.0,9.0,9.0,0.0\r\n"
+    )
+    # cases and sizes ascend, estimators keep their first-appearance order
+    assert report.format_table().split("\n") == [
+        "                    case 1            case 2      ",
+        "     n metric      tsls     pace     tsls     pace",
+        "--------------------------------------------------",
+        "   100 bias          --       NA       --       --",
+        "       sd            --       NA       --       --",
+        "       se            --       NA       --       --",
+        "       cp            --       NA       --       --",
+        "   500 bias          --       --    0.333   -0.062",
+        "       sd            --       --    0.250       NA",
+        "       se            --       --    0.062       NA",
+        "       cp            --       --    0.900    1.000",
+        "",
+    ]
