@@ -52,61 +52,51 @@ class PooledEstimate:
 def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     """Return m completed datasets as (n, 6) arrays, reproducible from seed.
 
-    Draws are independent across imputations.  A record whose imputed
-    survival is 0 keeps an undefined outcome.  Raises when a cell contains
-    a missing value but no observed donor for that variable.
+    One plan is built per call, per (z, d) cell in the order (0, 0), (0, 1),
+    (1, 0), (1, 1): the rows missing s, the observed survival rate, the rows
+    that may need an outcome (missing s or missing y) and the sorted outcome
+    donors.  Building it raises when a cell contains a missing value but no
+    observed donor for that variable.  Each imputation draws s for the
+    planned rows, then a donor for each planned outcome row whose s is now 1;
+    a record whose imputed survival is 0 keeps an undefined outcome.  Draws
+    are independent across imputations.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     arr = as_array(records)
-    z, d = arr[:, 0].astype(int), arr[:, 1].astype(int)
-    miss_s = arr[:, 2] == 0
-    surv = (arr[:, 2] == 1) & (arr[:, 3] == 1)
-    miss_y = surv & (arr[:, 4] == 0)
-
-    cell_rate = {}
-    cell_donors = {}
-    for zz in (0, 1):
-        for dd in (0, 1):
-            cell = (z == zz) & (d == dd)
-            observed_s = cell & (arr[:, 2] == 1)
-            rate = 0.0
-            if (cell & miss_s).any():
-                if not observed_s.any():
-                    raise NoDonorsError(
-                        f"cell (z={zz}, d={dd}) needs survival imputation "
-                        "but has no observed survival status"
-                    )
-                rate = float(arr[observed_s, 3].mean())
-                cell_rate[zz, dd] = rate
-            donors = arr[cell & surv & (arr[:, 4] == 1), 5]
-            needs_y = (cell & miss_y).any() or ((cell & miss_s).any() and rate > 0)
-            if needs_y and donors.size == 0:
-                raise NoDonorsError(
-                    f"cell (z={zz}, d={dd}, s=1) needs outcome imputation "
-                    "but has no observed outcome"
-                )
-            cell_donors[zz, dd] = np.sort(donors)
+    z, d, delta_s, s, delta_y, y = arr.T
+    observed_s = delta_s == 1
+    survivor = observed_s & (s == 1)
+    miss_y = survivor & (delta_y == 0)
+    plan = []
+    for zz, dd in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cell = (z == zz) & (d == dd)
+        s_rows = np.flatnonzero(cell & ~observed_s)
+        rate = 0.0
+        if s_rows.size:
+            if not (cell & observed_s).any():
+                raise NoDonorsError(f"cell (z={zz}, d={dd}) needs survival imputation "
+                                    "but has no observed survival status")
+            rate = float(s[cell & observed_s].mean())
+        donors = np.sort(y[cell & survivor & (delta_y == 1)])
+        if donors.size == 0 and (cell & miss_y).any():
+            raise NoDonorsError(f"cell (z={zz}, d={dd}, s=1) needs outcome imputation "
+                                "but has no observed outcome")
+        plan.append((s_rows, rate, np.flatnonzero(cell & (~observed_s | miss_y)), donors))
 
     completed = []
     for child in np.random.SeedSequence(seed).spawn(m):
         rng = np.random.default_rng(child)
         out = arr.copy()
-        new_s = out[:, 3].copy()
-        for (zz, dd), rate in cell_rate.items():
-            idx = np.flatnonzero((z == zz) & (d == dd) & miss_s)
-            new_s[idx] = (rng.random(idx.size) < rate).astype(float)
-        out[:, 3] = new_s
         out[:, 2] = 1.0
-        fill_y = (new_s == 1) & np.isnan(out[:, 5])
-        for zz in (0, 1):
-            for dd in (0, 1):
-                idx = np.flatnonzero((z == zz) & (d == dd) & fill_y)
-                if idx.size:
-                    donors = cell_donors[zz, dd]
-                    out[idx, 5] = donors[rng.integers(0, donors.size, idx.size)]
-        out[fill_y, 4] = 1.0
-        out[out[:, 3] == 0, 5] = np.nan
+        for s_rows, rate, _, _ in plan:
+            if s_rows.size:
+                out[s_rows, 3] = rng.random(s_rows.size) < rate
+        for _, _, y_rows, donors in plan:
+            rows = y_rows[out[y_rows, 3] == 1]
+            if rows.size:
+                out[rows, 4] = 1.0
+                out[rows, 5] = donors[rng.integers(0, donors.size, rows.size)]
         completed.append(out)
     return completed
 

@@ -291,6 +291,9 @@ def _checked_list(name: str, values, valid, rule: str) -> tuple:
         items = ()
     if not items or not all(map(valid, items)):
         raise ValueError(f"{name} must be a non-empty list of {rule}, got {values!r}")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"{name} must be distinct, got {item!r} more than once")
     return items
 
 
@@ -323,8 +326,9 @@ def run_study(
     These defaults are the study-config defaults of ``brokenrct simulate``.
     ``reps``, ``oracle_n`` or ``n_jobs`` below 1, a negative ``seed``, a
     boolean in place of an integer, an empty list, a size below 1, a case
-    outside :data:`CASES` or an unknown estimator raises ``ValueError``
-    naming the field.
+    outside :data:`CASES`, an unknown estimator or an entry repeated in
+    ``cases``, ``sizes`` or ``estimators`` raises ``ValueError`` naming the
+    field.
 
     A replication's stream is keyed by (case, position of n in ``sizes``,
     rep), not by n itself, so the rows of one (case, n) cell depend on

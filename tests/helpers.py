@@ -5,9 +5,11 @@ parameters are derived by enumerating the latent strata of the benchmark
 generator, and the employment-study parameters come from the published
 cell table, entered as plain constants.  The row-level comparators are
 the reference for the package's closed forms on cell statistics, the
-row-level record check is the reference for the column-wise one, and the
-hand-written twin formulas (one block per arm, the 11-parameter order
-spelled out) are the reference for the one per-arm identification.
+row-level record check is the reference for the column-wise one, the hot
+deck that rebuilds its masks per imputation is the reference for the
+per-cell plan, and the hand-written twin formulas (one block per arm, the
+11-parameter order spelled out) are the reference for the one per-arm
+identification.
 """
 
 import math
@@ -22,6 +24,7 @@ from brokenrct.errors import (
     EmptyCellError,
     InvalidRecordError,
     MuOutOfUnitIntervalError,
+    NoDonorsError,
     SurvivalMonotonicityWarning,
     WeakDenominatorWarning,
 )
@@ -31,7 +34,7 @@ from brokenrct.identify import (
     DENOMINATOR_WARN_TOLERANCE,
     CellParams,
 )
-from brokenrct.records import ObservationRecord
+from brokenrct.records import ObservationRecord, as_array
 from brokenrct.simulate import DgpConfig
 
 # Employment-study cell values per follow-up year, cells keyed (z, d):
@@ -495,3 +498,65 @@ def covariance_diagonal_twin(cells):
         var_mean[1, 1], var_mean[1, 0],
         var_mean[0, 1], var_mean[0, 0],
     ])
+
+
+def impute_within_cells_reference(records, m: int, seed) -> list[np.ndarray]:
+    """impute_within_cells with every imputation rebuilding its cell masks
+    over all rows, the reference for the per-cell plan.  Draws are
+    independent across imputations.  A record whose imputed survival is 0
+    keeps an undefined outcome.  Raises when a cell contains a missing value
+    but no observed donor for that variable.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    arr = as_array(records)
+    z, d = arr[:, 0].astype(int), arr[:, 1].astype(int)
+    miss_s = arr[:, 2] == 0
+    surv = (arr[:, 2] == 1) & (arr[:, 3] == 1)
+    miss_y = surv & (arr[:, 4] == 0)
+
+    cell_rate = {}
+    cell_donors = {}
+    for zz in (0, 1):
+        for dd in (0, 1):
+            cell = (z == zz) & (d == dd)
+            observed_s = cell & (arr[:, 2] == 1)
+            rate = 0.0
+            if (cell & miss_s).any():
+                if not observed_s.any():
+                    raise NoDonorsError(
+                        f"cell (z={zz}, d={dd}) needs survival imputation "
+                        "but has no observed survival status"
+                    )
+                rate = float(arr[observed_s, 3].mean())
+                cell_rate[zz, dd] = rate
+            donors = arr[cell & surv & (arr[:, 4] == 1), 5]
+            needs_y = (cell & miss_y).any() or ((cell & miss_s).any() and rate > 0)
+            if needs_y and donors.size == 0:
+                raise NoDonorsError(
+                    f"cell (z={zz}, d={dd}, s=1) needs outcome imputation "
+                    "but has no observed outcome"
+                )
+            cell_donors[zz, dd] = np.sort(donors)
+
+    completed = []
+    for child in np.random.SeedSequence(seed).spawn(m):
+        rng = np.random.default_rng(child)
+        out = arr.copy()
+        new_s = out[:, 3].copy()
+        for (zz, dd), rate in cell_rate.items():
+            idx = np.flatnonzero((z == zz) & (d == dd) & miss_s)
+            new_s[idx] = (rng.random(idx.size) < rate).astype(float)
+        out[:, 3] = new_s
+        out[:, 2] = 1.0
+        fill_y = (new_s == 1) & np.isnan(out[:, 5])
+        for zz in (0, 1):
+            for dd in (0, 1):
+                idx = np.flatnonzero((z == zz) & (d == dd) & fill_y)
+                if idx.size:
+                    donors = cell_donors[zz, dd]
+                    out[idx, 5] = donors[rng.integers(0, donors.size, idx.size)]
+        out[fill_y, 4] = 1.0
+        out[out[:, 3] == 0, 5] = np.nan
+        completed.append(out)
+    return completed

@@ -175,6 +175,27 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["mode"] == "completed-dir m=3"
 
+    def test_completed_dir_matches_impute(self, capsys, tmp_path):
+        from brokenrct.imputation import impute_within_cells
+
+        arr, _ = generate(DgpConfig(n=1500, case=3), seed=85)
+        damaged = delete_survival_mcar(delete_outcomes_mcar(arr, 0.15, seed=12), 0.05, seed=13)
+        completed_dir = tmp_path / "completed"
+        completed_dir.mkdir()
+        for i, dataset in enumerate(impute_within_cells(damaged, m=4, seed=6)):
+            write_csv(completed_dir / f"imp{i}.csv", dataset)
+        data_path = tmp_path / "damaged.csv"
+        write_csv(data_path, damaged)
+        methods = [arg for method in comparators.METHODS for arg in ("--method", method)]
+        payloads = []
+        for mode in (["--completed-dir", str(completed_dir)], ["--impute", "4", "--seed", "6"]):
+            code, out, _ = run_cli(capsys, ["analyze", "--input", str(data_path), *mode,
+                                            *methods, "--format", "json"])
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert sorted(payloads[0]["estimates"]) == sorted(comparators.METHODS)
+        assert payloads[0]["estimates"] == payloads[1]["estimates"]
+
     def test_completed_dir_lf_and_crlf_agree(self, capsys, tmp_path):
         from brokenrct.imputation import impute_within_cells
 
@@ -283,6 +304,7 @@ class TestSimulate:
     @pytest.mark.parametrize("field,value", [
         ("reps", True), ("oracle_n", True), ("n_jobs", True), ("seed", False),
         ("reps", 0), ("reps", -3), ("oracle_n", 0), ("n_jobs", -1), ("sizes", [0]),
+        ("cases", [1, 1]), ("sizes", [300, 300]), ("estimators", ["tsls", "tsls"]),
     ])
     def test_invalid_setting_exits_4(self, capsys, tmp_path, field, value):
         config = self.write_config(tmp_path, **{field: value})

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brokenrct.errors import (
     DenominatorDegenerateError,
@@ -17,6 +21,7 @@ from brokenrct.identify import (
     pace_identify,
     strata_proportions,
     survivor_contrast_reduction,
+    survivor_masses,
     wald_reduction,
 )
 from brokenrct.records import ingest
@@ -85,6 +90,25 @@ class TestComplierSurvival:
         with pytest.warns(IdentificationWarning):
             cs = complier_survival(params)
         assert cs.s1_given_c == pytest.approx(1.7, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(take=st.lists(st.floats(0, 1), min_size=2, max_size=2),
+       survival=st.lists(st.floats(0, 1), min_size=4, max_size=4))
+def test_complier_survival_is_a_denominator_over_compliers(take, survival):
+    """The strata form of complier survival and the mixing denominators of
+    survivor_masses agree to rounding, not bitwise: p_c + p_a re-adds take[1]
+    and p_c + p_n re-adds 1 - take[0], and either sum may be one ulp off."""
+    take0, take1 = sorted(take)
+    assume(take1 - take0 >= 0.01)
+    params = CellParams(take=np.array([take0, take1]),
+                        survival=np.reshape(survival, (2, 2)), mean_y=np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentificationWarning)
+        cs = complier_survival(params)
+    den, p_c = survivor_masses(params)[2], take1 - take0
+    assert cs.s1_given_c == pytest.approx(den[1] / p_c, rel=0, abs=1e-13)
+    assert cs.s0_given_c == pytest.approx(-den[0] / p_c, rel=0, abs=1e-13)
 
 
 class TestPaceIdentify:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokenrct.errors import InvalidRecordError, NoDonorsError
 from brokenrct.estimation import estimate_pace, fit_cell_params
@@ -9,7 +11,12 @@ from brokenrct.imputation import impute_within_cells, pool_estimates, read_compl
 from brokenrct.records import cells_from_arrays, ingest, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import dataset_estimates, delete_outcomes_mcar, delete_survival_mcar
+from helpers import (
+    dataset_estimates,
+    delete_outcomes_mcar,
+    delete_survival_mcar,
+    impute_within_cells_reference,
+)
 
 
 def analyse(arr):
@@ -99,6 +106,56 @@ class TestImputer:
         completed = impute_within_cells(damaged, m=10, seed=11)
         pooled = pool_estimates([analyse(c) for c in completed])
         assert abs(pooled.tau - complete_tau) < 2 * pooled.se
+
+
+KINDS = ("observed", "missing_y", "dead", "missing_s")
+
+
+@st.composite
+def damaged_datasets(draw):
+    """Valid (n, 6) arrays of 0-30 rows over a random subset of the (z, d) cells.
+
+    Each cell holds its own subset of record kinds, so empty cells, cells
+    with every status or outcome missing and cells with no donor all come
+    up; outcomes come mostly from a short list, so donor pools hold ties.
+    """
+    cells = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+                          min_size=1, max_size=4, unique=True))
+    kinds = {cell: draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4, unique=True))
+             for cell in cells}
+    outcome = st.one_of(st.sampled_from((-1.5, 0.0, 2.0, 3.25)),
+                        st.floats(-1e6, 1e6, allow_nan=False))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        z, d = draw(st.sampled_from(cells))
+        kind = draw(st.sampled_from(kinds[z, d]))
+        rows.append({"observed": [z, d, 1, 1, 1, draw(outcome)],
+                     "missing_y": [z, d, 1, 1, 0, math.nan],
+                     "dead": [z, d, 1, 0, draw(st.integers(0, 1)), math.nan],
+                     "missing_s": [z, d, 0, math.nan, 0, math.nan]}[kind])
+    return np.asarray(rows, dtype=float).reshape(-1, 6)
+
+
+def imputation_outcome(impute, arr, m, seed):
+    """The bytes of every completed array, or the exception's type and message."""
+    try:
+        completed = impute(arr, m, seed)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(c.shape, c.dtype, c.tobytes()) for c in completed]
+
+
+@settings(max_examples=400, deadline=None)
+@given(arr=damaged_datasets(), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_plan_matches_reference(arr, m, seed):
+    expected = imputation_outcome(impute_within_cells_reference, arr, m, seed)
+    assert imputation_outcome(impute_within_cells, arr, m, seed) == expected
+
+
+def test_m_below_one_is_rejected_before_the_records():
+    expected = (ValueError, "m must be at least 1")
+    for impute in (impute_within_cells, impute_within_cells_reference):
+        assert imputation_outcome(impute, np.full((1, 6), 7.0), 0, 0) == expected
 
 
 class TestRubinPool:

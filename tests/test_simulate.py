@@ -179,6 +179,18 @@ class TestRunStudy:
             rejected += in_band
         assert 0 < rejected < 40
 
+    @pytest.mark.parametrize("field,value,repeated", [
+        ("cases", [1, 2, 1], "1"), ("sizes", [300, 300], "300"),
+        ("estimators", ["pace", "tsls", "pace"], "'pace'"),
+    ])
+    def test_repeated_entry_rejected(self, field, value, repeated):
+        settings = dict(cases=(1,), sizes=(100,), reps=5, estimators=("tsls",),
+                        seed=1, oracle_n=10_000)
+        settings[field] = value
+        with pytest.raises(ValueError) as excinfo:
+            run_study(**settings)
+        assert str(excinfo.value) == f"{field} must be distinct, got {repeated} more than once"
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="^estimators must be"):
             run_study(cases=(1,), sizes=(100,), reps=5, estimators=("magic",), seed=1)
