@@ -22,7 +22,6 @@ from .errors import (
     NoDonorsError,
     ReductionPreconditionError,
     SchemaError,
-    SurvivalMonotonicityWarning,
     WeakDenominatorWarning,
     WeakInstrumentWarning,
 )
@@ -41,13 +40,9 @@ from .identify import (
     CellParams,
     ComplierSurvival,
     StrataProportions,
-    cl_proportion_under_monotonicity,
     complier_survival,
-    no_missing_reduction,
     pace_identify,
     strata_proportions,
-    survivor_contrast_reduction,
-    wald_reduction,
 )
 from .imputation import (
     PooledEstimate,
@@ -96,14 +91,12 @@ __all__ = [
     "SchemaError",
     "SimulationReport",
     "StrataProportions",
-    "SurvivalMonotonicityWarning",
     "SurvivorContrast",
     "TwoStageLeastSquares",
     "ValidationReport",
     "WeakDenominatorWarning",
     "WeakInstrumentWarning",
     "cells_from_arrays",
-    "cl_proportion_under_monotonicity",
     "complier_survival",
     "estimate",
     "estimate_pace",
@@ -113,7 +106,6 @@ __all__ = [
     "impute_within_cells",
     "ingest",
     "itt_at_pp",
-    "no_missing_reduction",
     "normal_cdf",
     "normal_quantile",
     "pace_identify",
@@ -122,10 +114,8 @@ __all__ = [
     "read_csv",
     "run_study",
     "strata_proportions",
-    "survivor_contrast_reduction",
     "true_pace",
     "tsls_survivors",
     "validate_design",
-    "wald_reduction",
     "write_csv",
 ]

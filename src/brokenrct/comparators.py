@@ -13,12 +13,10 @@ the five methods, the main estimator included, on one set of cells.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DenominatorDegenerateError, EmptyCellError
-from .estimation import Estimate, estimate_pace, fit_cell_params, normal_interval
+from .errors import DenominatorDegenerateError, EmptyCellError, Reason, stack_errstate
+from .estimation import Estimate, estimate_pace, fit_cell_params, make_estimate
 from .records import ingest, pool_moments
 
 #: every estimator by name: the main one, then the comparators
@@ -35,25 +33,36 @@ def tsls_survivors(records, level: float = 0.95) -> Estimate:
     observed outcome, the ratio is
     sum k (z - zbar)(ybar_zd - ybar) / sum k (z - zbar)(d - dbar), and the
     sandwich sums (z - zbar)^2 (M2 + k r^2) with r the cell-mean residual.
+    A stack of cells gives one estimate per row (see :func:`estimate`).
     """
     cells = ingest(records)
     k = cells.y_count
-    n, n_z1, n_d1 = int(k.sum()), int(k[1].sum()), int(k[:, 1].sum())
-    if n_z1 == 0 or n_z1 == n:
-        raise EmptyCellError("both assignment arms must appear among observed survivors")
+    n, n_z1, n_d1 = k.sum(axis=(-2, -1)), k[..., 1, :].sum(axis=-1), k[..., :, 1].sum(axis=-1)
     # n * sum k (z - zbar)(d - dbar) is an integer: test it exactly
-    first_stage_n = n * int(k[1, 1]) - n_z1 * n_d1
-    if first_stage_n == 0:
-        raise DenominatorDegenerateError("zero first stage among survivors")
-    first_stage = first_stage_n / n
-    z_c = np.array([[0.0], [1.0]]) - n_z1 / n
-    y_bar = float((k * cells.y_mean).sum()) / n
-    tau = float((k * z_c * (cells.y_mean - y_bar)).sum()) / first_stage
-    alpha = y_bar - tau * (n_d1 / n)
-    resid = cells.y_mean - alpha - tau * np.array([0.0, 1.0])
-    variance = float((z_c**2 * (cells.y_m2 + k * resid**2)).sum()) / first_stage**2
-    se = math.sqrt(variance)
-    return Estimate("tsls", tau, se, *normal_interval(tau, se, level), level=level, n=n)
+    first_stage_n = n * k[..., 1, 1] - n_z1 * n_d1
+    reason = np.where((n_z1 == 0) | (n_z1 == n), Reason.EMPTY_GROUP,
+                      np.where(first_stage_n == 0, Reason.ZERO_FIRST_STAGE, Reason.OK))
+    if reason.ndim == 0 and reason != Reason.OK:
+        raise (EmptyCellError("both assignment arms must appear among observed survivors")
+               if reason == Reason.EMPTY_GROUP
+               else DenominatorDegenerateError("zero first stage among survivors"))
+    with stack_errstate(reason.ndim > 0):
+        first_stage = first_stage_n / n
+        z_c = np.array([[0.0], [1.0]]) - (n_z1 / n)[..., None, None]
+        y_bar = _sum_cells(k * cells.y_mean) / n
+        tau = _sum_cells(k * z_c * (cells.y_mean - y_bar[..., None, None])) / first_stage
+        alpha = y_bar - tau * (n_d1 / n)
+        resid = cells.y_mean - alpha[..., None, None] - tau[..., None, None] * np.array([0.0, 1.0])
+        # float_power is the libm pow of a Python float's ** 2, which is not always x * x
+        variance = (_sum_cells(z_c**2 * (cells.y_m2 + k * resid**2))
+                    / np.float_power(first_stage, 2))
+    return make_estimate(Estimate, "tsls", tau, np.sqrt(variance), level, n, reason)
+
+
+def _sum_cells(values):
+    """Sum of each row's 2x2 cells as one reduction over 4 entries, so that a
+    row adds them in the order of one dataset's ``.sum()``."""
+    return values.reshape(values.shape[:-2] + (4,)).sum(axis=-1)
 
 
 def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
@@ -62,7 +71,8 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
     itt: difference by assignment; at: difference by received treatment;
     pp: difference by assignment among protocol-followers (z = d).  Standard
     errors are the unpooled two-sample normal formula.  Each comparison
-    group pools the outcome moments of its (z, d) cells.
+    group pools the outcome moments of its (z, d) cells.  A stack of cells
+    gives one estimate per row (see :func:`estimate`).
     """
     method = method.lower()
     if method not in ("itt", "at", "pp"):
@@ -70,18 +80,19 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
     cells = ingest(records)
     k, mean, m2 = cells.y_count, cells.y_mean, cells.y_m2
     if method == "itt":    # group by z: pool each arm's two d cells
-        k, mean, m2 = pool_moments(k[:, 0], mean[:, 0], m2[:, 0], k[:, 1], mean[:, 1], m2[:, 1])
+        k, mean, m2 = pool_moments(k[..., 0], mean[..., 0], m2[..., 0],
+                                   k[..., 1], mean[..., 1], m2[..., 1])
     elif method == "at":   # group by d: pool each treatment's two z cells
-        k, mean, m2 = pool_moments(k[0], mean[0], m2[0], k[1], mean[1], m2[1])
+        k, mean, m2 = pool_moments(k[..., 0, :], mean[..., 0, :], m2[..., 0, :],
+                                   k[..., 1, :], mean[..., 1, :], m2[..., 1, :])
     else:                  # protocol followers: cells (0, 0) and (1, 1)
-        k, mean, m2 = k.diagonal(), mean.diagonal(), m2.diagonal()
-    if (k == 0).any():
+        k, mean, m2 = (np.diagonal(a, axis1=-2, axis2=-1) for a in (k, mean, m2))
+    reason = np.where((k == 0).any(axis=-1), Reason.EMPTY_GROUP, Reason.OK)
+    if reason.ndim == 0 and reason == Reason.EMPTY_GROUP:
         raise EmptyCellError(f"{method}: empty comparison group among observed survivors")
-    var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0)
-    tau = float(mean[1] - mean[0])
-    se = math.sqrt(float(var[1] / k[1] + var[0] / k[0]))
-    return Estimate(method, tau, se, *normal_interval(tau, se, level),
-                    level=level, n=int(k.sum()))
+    var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0) / np.maximum(k, 1)
+    return make_estimate(Estimate, method, mean[..., 1] - mean[..., 0],
+                         np.sqrt(var[..., 1] + var[..., 0]), level, k.sum(axis=-1), reason)
 
 
 def check_scale(method: str, scale: str) -> None:
@@ -96,11 +107,19 @@ def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -
 
     A comparator with any scale but "identity" raises ``ValueError``
     (:func:`check_scale`).
+
+    ``cells`` may also be a :meth:`~brokenrct.records.CellStatistics.stack`,
+    estimated in one call with no p-values.  Where one dataset raises an
+    ``EstimationError`` (or warns of a weak pace denominator), its row gets
+    the matching :class:`~brokenrct.errors.Reason` and undefined values:
+    those of :func:`~brokenrct.estimation.estimate_pace` for pace,
+    ``EMPTY_GROUP`` or ``ZERO_FIRST_STAGE`` for the comparators.
     """
     check_scale(method, scale)
     if method == "pace":
         params, cov = fit_cell_params(cells)
-        return estimate_pace(params, cov, level=level, n=cells.n_records, scale=scale)
+        return estimate_pace(params, cov, level=level, n=cells.count.sum(axis=(-2, -1)),
+                             scale=scale)
     if method == "tsls":
         return tsls_survivors(cells, level=level)
     return itt_at_pp(cells, method, level=level)

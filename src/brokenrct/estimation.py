@@ -11,7 +11,7 @@ identification formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -20,8 +20,17 @@ from .errors import (
     AllOutcomesMissingError,
     EmptyCellError,
     MuOutOfUnitIntervalError,
+    Reason,
+    stack_errstate,
 )
-from .identify import MEAN_AT, SURVIVAL_AT, TAKE_AT, CellParams, identify_arms
+from .identify import (
+    MEAN_AT,
+    SURVIVAL_AT,
+    TAKE_AT,
+    CellParams,
+    denominator_reason,
+    identify_arms,
+)
 from .records import CellStatistics
 
 SCALES = ("identity", "logit")
@@ -31,10 +40,11 @@ SCALES = ("identity", "logit")
 class CellCovariance:
     """Diagonal sampling covariance of the packed 11-parameter vector."""
 
-    diagonal: np.ndarray
+    diagonal: np.ndarray    # shape (..., 11)
 
-    def quadratic_form(self, gradient: np.ndarray) -> float:
-        return float(np.sum(np.asarray(gradient) ** 2 * self.diagonal))
+    def quadratic_form(self, gradient: np.ndarray) -> np.ndarray:
+        """g' diag(v) g per row, as one sum over the 11 packed entries."""
+        return np.sum(np.asarray(gradient) ** 2 * self.diagonal, axis=-1)
 
     @classmethod
     def zero(cls) -> "CellCovariance":
@@ -47,7 +57,8 @@ class Estimate:
 
     ``n`` is the number of records the estimate uses: all records for
     "pace", the survivors with an observed outcome in the compared groups
-    for the comparators.
+    for the comparators.  An estimate of a stack holds arrays, no p-value
+    and each row's :class:`~brokenrct.errors.Reason`; of one dataset, reason 0.
     """
 
     method: str
@@ -58,6 +69,7 @@ class Estimate:
     p_value: float
     level: float
     n: int
+    reason: np.ndarray | int = field(default=Reason.OK, kw_only=True)
 
     @property
     def ci(self) -> tuple[float, float]:
@@ -80,6 +92,17 @@ class PaceEstimate(Estimate):
     scale: str = "identity"
 
 
+def make_estimate(cls, method: str, tau, se, level: float, n, reason, **extra) -> Estimate:
+    """``cls`` of one dataset in Python numbers with a p-value, or of a stack in arrays."""
+    if np.ndim(tau) == 0:
+        tau, se, n, reason = float(tau), float(se), int(n), Reason.OK
+        extra = {name: value if isinstance(value, str) else float(value)
+                 for name, value in extra.items()}
+    with stack_errstate(np.ndim(tau) > 0):
+        interval = normal_interval(tau, se, level)
+    return cls(method, tau, se, *interval, level=level, n=n, reason=reason, **extra)
+
+
 def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     """Maximum-likelihood cell parameters and their diagonal covariance.
 
@@ -91,45 +114,42 @@ def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     rather than raising.  Cells that carry weight must have an observed
     survival rate, and survivor cells that carry weight must have at least
     one observed outcome.
+
+    One dataset that breaks these rules raises; a stack of datasets codes
+    each row's :class:`~brokenrct.errors.Reason` in ``params.reason``.
     """
-    n = cells.n_records
-    n1, n0 = cells.arm_count(1), cells.arm_count(0)
-    if n1 == 0 or n0 == 0:
-        raise EmptyCellError(f"assignment arm z={1 if n1 == 0 else 0} has no records")
-    assign_rate = n1 / n
-    take = np.array([cells.take_rate(0), cells.take_rate(1)])
+    count, obs, pos, k = cells.count, cells.surv_obs, cells.surv_pos, cells.y_count
+    arm = count.sum(axis=-1)
+    n = arm.sum(axis=-1)
+    cell_reason = np.where(
+        (count > 0) & (obs == 0), Reason.NO_SURVIVAL_STATUS,
+        np.where((count > 0) & (pos > 0) & (k == 0), Reason.NO_OUTCOME, Reason.OK))
+    cell_reason = cell_reason.reshape(cell_reason.shape[:-2] + (4,))
+    first_cell = np.argmax(cell_reason != Reason.OK, axis=-1)
+    reason = np.where((arm == 0).any(axis=-1), Reason.EMPTY_ARM,
+                      np.take_along_axis(cell_reason, first_cell[..., None], axis=-1)[..., 0])
+    if np.ndim(reason) == 0 and reason != Reason.OK:
+        z, d = divmod(int(first_cell), 2)
+        if reason == Reason.EMPTY_ARM:
+            raise EmptyCellError(f"assignment arm z={1 if arm[1] == 0 else 0} has no records")
+        if reason == Reason.NO_SURVIVAL_STATUS:
+            raise EmptyCellError(
+                f"cell (z={z}, d={d}) has records but no observed survival status")
+        raise AllOutcomesMissingError(
+            f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome")
 
-    survival = np.zeros((2, 2))
-    mean_y = np.zeros((2, 2))
-    var_survival = np.zeros((2, 2))
-    var_mean = np.zeros((2, 2))
-    for z in (0, 1):
-        for d in (0, 1):
-            if cells.count[z, d] == 0:
-                continue  # structurally weightless: take-rate factor is exactly 0
-            obs = cells.surv_obs[z, d]
-            if obs == 0:
-                raise EmptyCellError(
-                    f"cell (z={z}, d={d}) has records but no observed survival status"
-                )
-            rate = cells.surv_pos[z, d] / obs
-            survival[z, d] = rate
-            var_survival[z, d] = rate * (1.0 - rate) / obs
-            if cells.surv_pos[z, d] == 0:
-                continue  # no survivors: outcome mean carries zero weight
-            k = cells.y_count[z, d]
-            if k == 0:
-                raise AllOutcomesMissingError(
-                    f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome"
-                )
-            mean_y[z, d] = cells.y_mean[z, d]
-            var_mean[z, d] = cells.y_var(z, d) / k
-
-    params = CellParams(take=take, survival=survival, mean_y=mean_y,
-                        assign_rate=assign_rate)
-    variance = CellParams(take=take * (1 - take) / np.array([n0, n1]),
-                          survival=var_survival, mean_y=var_mean,
-                          assign_rate=assign_rate * (1 - assign_rate) / n)
+    # an empty count divides by 1: its cell is weightless or its row failed
+    assign_rate = arm[..., 1] / np.maximum(n, 1)
+    take = count[..., 1] / np.maximum(arm, 1)
+    survival = pos / np.maximum(obs, 1)
+    # y_mean, and so the outcome variance, is 0 in a cell with no observed outcome
+    y_var = np.where(k > 1, cells.y_m2 / np.maximum(k - 1, 1), 0.0)
+    params = CellParams(take=take, survival=survival, mean_y=cells.y_mean,
+                        assign_rate=assign_rate, reason=reason)
+    variance = CellParams(take=take * (1 - take) / np.maximum(arm, 1),
+                          survival=survival * (1.0 - survival) / np.maximum(obs, 1),
+                          mean_y=y_var / np.maximum(k, 1),
+                          assign_rate=assign_rate * (1 - assign_rate) / np.maximum(n, 1))
     return params, CellCovariance(diagonal=variance.pack())
 
 
@@ -145,16 +165,24 @@ def gradient_mu(params: CellParams, arm: int) -> np.ndarray:
     """
     if arm not in (0, 1):
         raise ValueError("arm must be 0 or 1")
-    return _gradient(params, *identify_arms(params, warn=False), arm)
+    return _gradient(params, *identify_arms(params, warn=False))[..., arm, :]
 
 
-def _gradient(params: CellParams, weight, mass, den, mu, arm: int) -> np.ndarray:
-    grad = np.zeros(11)
-    for z, sign in ((1, 1.0), (0, -1.0)):
-        resid = params.mean_y[z, arm] - mu[arm]
-        grad[TAKE_AT[z]] = (sign if arm else -sign) * params.survival[z, arm] * resid / den[arm]
-        grad[SURVIVAL_AT[z, arm]] = sign * weight[z, arm] * resid / den[arm]
-        grad[MEAN_AT[z, arm]] = sign * mass[z, arm] / den[arm]
+#: by [z, d]: a term's arm d, the sign of its survival and mean terms (+1 for
+#: z = 1, -1 for z = 0) and of its uptake term (negated for d = 0)
+_ARM = np.array([[0, 1], [0, 1]])
+_SIGN = np.array([[-1.0, -1.0], [1.0, 1.0]])
+_TAKE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _gradient(params: CellParams, weight, mass, den, mu) -> np.ndarray:
+    """Both arms' packed gradients, ``[..., d, :]`` for arm d."""
+    grad = np.zeros(np.shape(den) + (11,))
+    resid = params.mean_y - mu[..., None, :]
+    den = den[..., None, :]
+    grad[..., _ARM, TAKE_AT[:, None]] = _TAKE_SIGN * params.survival * resid / den
+    grad[..., _ARM, SURVIVAL_AT] = _SIGN * weight * resid / den
+    grad[..., _ARM, MEAN_AT] = _SIGN * mass / den
     return grad
 
 
@@ -166,44 +194,56 @@ def estimate_pace(params: CellParams, cov: CellCovariance, level: float = 0.95,
     is "identity" for the mean difference or "logit" for the log odds ratio
     of a binary outcome.  The gradient of ``logit(mu)`` is the identity-scale
     gradient divided by ``mu * (1 - mu)``, so the same covariance propagates.
+
+    Stacked parameters give one estimate per row in one call, with no
+    p-value.  A row gets a :class:`~brokenrct.errors.Reason` where one
+    dataset raises or warns: its ``params.reason``, a degenerate, then a
+    warning-band denominator, then on the logit scale a mean outside (0, 1).
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be 'identity' or 'logit', got {scale!r}")
     arms = identify_arms(params)
-    mu1, mu0 = float(arms[3][1]), float(arms[3][0])
-    tau = mu1 - mu0
-    grad1, grad0 = _gradient(params, *arms, 1), _gradient(params, *arms, 0)
-    if scale == "logit":
-        for name, mu in (("mu1", mu1), ("mu0", mu0)):
-            if not 0.0 < mu < 1.0:
-                raise MuOutOfUnitIntervalError(
-                    f"{name} = {mu:.4f} is outside (0, 1); the log-odds estimand "
-                    "requires a binary outcome and interior means"
-                )
-        grad1 = grad1 / (mu1 * (1.0 - mu1))
-        grad0 = grad0 / (mu0 * (1.0 - mu0))
-        mu1, mu0 = logit(mu1), logit(mu0)
-        tau = mu1 - mu0
-    se = math.sqrt(cov.quadratic_form(grad1 - grad0))
-    return PaceEstimate(
-        "pace", tau, se, *normal_interval(tau, se, level), level=level, n=n,
-        mu1=mu1, mu0=mu0,
-        se_mu1=math.sqrt(cov.quadratic_form(grad1)),
-        se_mu0=math.sqrt(cov.quadratic_form(grad0)),
-        scale=scale,
-    )
+    mu = arms[3]
+    reason = denominator_reason(params.reason, arms[2])
+    with stack_errstate(mu.ndim > 1):
+        grad = _gradient(params, *arms)
+        grad1, grad0 = grad[..., 1, :], grad[..., 0, :]
+        if scale == "logit":
+            inside = (0.0 < mu) & (mu < 1.0)
+            if mu.ndim == 1:
+                for name, arm in (("mu1", 1), ("mu0", 0)):
+                    if not inside[arm]:
+                        raise MuOutOfUnitIntervalError(
+                            f"{name} = {mu[arm]:.4f} is outside (0, 1); the log-odds "
+                            "estimand requires a binary outcome and interior means"
+                        )
+            reason = np.where((reason == Reason.OK) & ~inside.all(axis=-1),
+                              Reason.MU_OUT_OF_UNIT_INTERVAL, reason)
+            mu = np.where(inside, mu, 0.5)
+            grad1 = grad1 / (mu[..., 1] * (1.0 - mu[..., 1]))[..., None]
+            grad0 = grad0 / (mu[..., 0] * (1.0 - mu[..., 0]))[..., None]
+            mu = np.vectorize(logit, otypes=[float])(mu)
+        tau = mu[..., 1] - mu[..., 0]
+        se = np.sqrt(cov.quadratic_form(grad1 - grad0))
+        se_mu1 = np.sqrt(cov.quadratic_form(grad1))
+        se_mu0 = np.sqrt(cov.quadratic_form(grad0))
+    return make_estimate(PaceEstimate, "pace", tau, se, level, n, reason, mu1=mu[..., 1],
+                         mu0=mu[..., 0], se_mu1=se_mu1, se_mu0=se_mu0, scale=scale)
 
 
 def logit(p: float) -> float:
+    """log(p / (1 - p)) by ``math.log``, which ``np.log`` does not always match."""
     return math.log(p / (1.0 - p))
 
 
 def normal_interval(point: float, se: float, level: float) -> tuple[float, float, float]:
-    """(ci_lower, ci_upper, p_value): normal interval and zero-null p-value."""
+    """(ci_lower, ci_upper, p_value): normal interval and zero-null p-value.
+    For arrays (a stack) the p-value is None: numpy lacks ``math.erfc``."""
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
     zq = normal_quantile(0.5 + level / 2.0)
-    return point - zq * se, point + zq * se, two_sided_p(point, se)
+    p_value = two_sided_p(point, se) if np.ndim(point) == 0 else None
+    return point - zq * se, point + zq * se, p_value
 
 
 def two_sided_p(estimate: float, se: float) -> float:

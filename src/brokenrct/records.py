@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class CellStatistics:
 
     Arrays are indexed ``[z, d]``.  Outcome moments cover survivors with an
     observed outcome only; survival proportions cover records with an
-    observed survival status only (the missing-at-random contract).
+    observed survival status only (the missing-at-random contract).  A
+    :meth:`stack` of R datasets has (R, 2, 2) arrays; the accessors take one.
     """
 
     count: np.ndarray          # all records per (z, d)
@@ -119,6 +120,11 @@ class CellStatistics:
         if total == 0:
             return float("nan")
         return float(self.count[z, 1] / total)
+
+    @classmethod
+    def stack(cls, items) -> "CellStatistics":
+        """The cell statistics of several datasets as one stack, row r from ``items[r]``."""
+        return cls(*(np.stack([getattr(c, f.name) for c in items]) for f in fields(cls)))
 
 
 def pool_moments(ka, mean_a, m2a, kb, mean_b, m2b):

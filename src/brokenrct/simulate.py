@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields, replace
@@ -22,8 +21,8 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .comparators import METHODS, estimate
-from .errors import EstimationError, WeakDenominatorWarning
-from .records import STRATA, cells_from_arrays
+from .errors import EstimationError, Reason
+from .records import STRATA, CellStatistics, cells_from_arrays
 
 CASES = (1, 2, 3, 4)
 
@@ -117,16 +116,11 @@ class PotentialData:
         return labels
 
 
-def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
-    """Draw one dataset; returns (observed (n, 6) array, potential table).
-
-    The two potential survival indicators are drawn independently given the
-    compliance type (only their marginals are specified by the design).
-    Monotonicity holds by construction and the assignment never enters the
-    survival or outcome draws.
-    """
+def _potential_outcomes(config: DgpConfig, rng):
+    """(d0, d1, s0, s1, y0, y1) of ``config.n`` units, the draws of
+    :func:`generate` before the assignment; y0 and y1 are drawn for every
+    unit, survivor or not."""
     config.validate()
-    rng = np.random.default_rng(seed)
     n = config.n
     d0 = (rng.random(n) < config.p_d0).astype(np.int8)
     d1 = np.where(d0 == 1, np.int8(1),
@@ -150,11 +144,25 @@ def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
     if config.cross_world:
         y0 = y0 + config.y0_gain_from_s1 * s1
         y1 = y1 + config.y1_gain_from_s0 * s0
+    return d0, d1, s0, s1, y0, y1
+
+
+def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
+    """Draw one dataset; returns (observed (n, 6) array, potential table).
+
+    The two potential survival indicators are drawn independently given the
+    compliance type (only their marginals are specified by the design).
+    Monotonicity holds by construction and the assignment never enters the
+    survival or outcome draws.
+    """
+    rng = np.random.default_rng(seed)
+    d0, d1, s0, s1, y0, y1 = _potential_outcomes(config, rng)
     y1 = np.where(s1 == 1, y1, np.nan)
     y0 = np.where(s0 == 1, y0, np.nan)
 
     # assignment is drawn last: the potential table for a seed does not
     # depend on the assignment mechanism
+    n = config.n
     z = (rng.random(n) < config.assign_rate).astype(np.int8)
     d = np.where(z == 1, d1, d0)
     s = np.where(d == 1, s1, s0)
@@ -172,27 +180,14 @@ def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
 
 
 def true_pace(config: DgpConfig, oracle_n: int = 1_000_000, seed=2718281828) -> float:
-    """Empirical ground truth: mean Y(1) - Y(0) over survived compliers."""
-    _, potential = generate(replace(config, n=int(oracle_n)), seed)
-    keep = potential.survived_complier
+    """Empirical ground truth: mean Y(1) - Y(0) over survived compliers,
+    drawn as :func:`generate` draws them, without the assignment."""
+    d0, d1, s0, s1, y0, y1 = _potential_outcomes(replace(config, n=int(oracle_n)),
+                                                 np.random.default_rng(seed))
+    keep = (d1 == 1) & (d0 == 0) & (s1 == 1) & (s0 == 1)
     if not keep.any():
         raise EstimationError("no survived compliers in the oracle draw")
-    return float((potential.y1[keep] - potential.y0[keep]).mean())
-
-
-def _estimate(cells, method: str):
-    """One replication's :func:`~brokenrct.comparators.estimate` by ``method``.
-
-    A replication whose mixing denominator falls in the warning band raises
-    :class:`EstimationError`, as a failure of the replication: its point
-    estimate is arbitrarily unstable and would poison the study moments.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", WeakDenominatorWarning)
-        try:
-            return estimate(cells, method)
-        except WeakDenominatorWarning as exc:
-            raise EstimationError(str(exc)) from None
+    return float((y1[keep] - y0[keep]).mean())
 
 
 @dataclass
@@ -267,16 +262,17 @@ def _replication_seed(seed: int, case: int, size_index: int, rep: int):
 
 
 def _run_chunk(task):
+    """(tau, se, ci_lower, ci_upper, failed) arrays of each estimator, in one call
+    on the chunk's stacked cells.  Any reason fails a replication, a pace
+    denominator in the warning band too: its estimate would poison the moments."""
     config, case, size_index, rep_range, seed, estimator_names = task
-    out = {name: [] for name in estimator_names}
-    for rep in rep_range:
-        arr, _ = generate(config, _replication_seed(seed, case, size_index, rep))
-        cells = cells_from_arrays(*arr.T)
-        for name in estimator_names:
-            try:
-                out[name].append(_estimate(cells, name))
-            except EstimationError:
-                out[name].append(None)
+    cells = CellStatistics.stack([
+        cells_from_arrays(*generate(config, _replication_seed(seed, case, size_index, rep))[0].T)
+        for rep in rep_range])
+    out = {}
+    for name in estimator_names:
+        est = estimate(cells, name)
+        out[name] = (est.tau, est.se, est.ci_lower, est.ci_upper, est.reason != Reason.OK)
     return out
 
 
@@ -309,19 +305,21 @@ def run_study(
 ) -> SimulationReport:
     """Monte Carlo study over cases and sample sizes.
 
-    ``estimators`` are names from :data:`~brokenrct.comparators.METHODS`,
-    each run on every replication's cells by
-    :func:`~brokenrct.comparators.estimate`.  Every replication owns a
-    counter-keyed generator stream, so results are reproducible for any
-    ``n_jobs`` and replications can run in parallel.  Estimator failures
-    (degenerate denominators at small n, and a pace denominator in the
-    warning band) are counted per row, not fatal.
+    ``estimators`` are names from :data:`~brokenrct.comparators.METHODS`.
+    Every replication owns a counter-keyed generator stream, so results are
+    reproducible for any ``n_jobs`` and replications can run in parallel.
 
     The study is one flat list of (case, size, replication chunk) tasks run
     by one map: with ``n_jobs > 1`` a single process pool of ``n_jobs``
     workers runs every task while this process draws the per-case truths;
-    with ``n_jobs == 1`` no pool is started.  The rows are assembled in task
-    order, so they do not depend on ``n_jobs``.
+    with ``n_jobs == 1`` no pool is started.  A task stacks its
+    replications' cell statistics and runs each estimator once on the
+    stack by :func:`~brokenrct.comparators.estimate`, which gives every
+    row the estimate one dataset would give, bit for bit, or a
+    :class:`~brokenrct.errors.Reason`.  A replication with any reason
+    (degenerate denominators at small n, a pace denominator in the warning
+    band) is counted as failed in its study row, not raised.  The rows are
+    assembled in task order, so they do not depend on ``n_jobs``.
 
     These defaults are the study-config defaults of ``brokenrct simulate``.
     ``reps``, ``oracle_n`` or ``n_jobs`` below 1, a negative ``seed``, a
@@ -368,18 +366,18 @@ def run_study(
         cell_results = results[i * len(chunks):(i + 1) * len(chunks)]
         truth = truths[case]
         for name in estimators:
-            outcomes = [item for chunk in cell_results for item in chunk[name]]
-            fits = [item for item in outcomes if item is not None]
-            taus = np.asarray([item.tau for item in fits])
-            ses = [item.se for item in fits]
-            covered = [item.ci_lower <= truth <= item.ci_upper for item in fits]
+            tau, se, lower, upper, failed = map(
+                np.concatenate, zip(*(chunk[name] for chunk in cell_results)))
+            fit = ~failed
+            taus = tau[fit]
             rows.append(StudyRow(
                 case=case, n=n, estimator=name,
-                reps=reps, failures=len(outcomes) - len(fits), true_tau=truth,
+                reps=reps, failures=int(failed.sum()), true_tau=truth,
                 bias=float(taus.mean() - truth) if taus.size else float("nan"),
                 sd=float(taus.std(ddof=1)) if taus.size > 1 else float("nan"),
-                mean_se=float(np.mean(ses)) if ses else float("nan"),
-                cp=float(np.mean(covered)) if covered else float("nan"),
+                mean_se=float(se[fit].mean()) if taus.size else float("nan"),
+                cp=(float(((lower[fit] <= truth) & (truth <= upper[fit])).mean())
+                    if taus.size else float("nan")),
             ))
     return SimulationReport(rows=rows, seed=seed, reps=reps, oracle_n=oracle_n)
 

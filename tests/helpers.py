@@ -9,12 +9,18 @@ row-level record check is the reference for the column-wise one, the hot
 deck that rebuilds its masks per imputation is the reference for the
 per-cell plan, and the hand-written twin formulas (one block per arm, the
 11-parameter order spelled out) are the reference for the one per-arm
-identification.
+identification.  The one-dataset estimators, written with a loop over the
+cells and Python scalars, are the reference for the stacked estimators,
+and the truth drawn through the whole of ``generate`` is the reference for
+the one drawn from the potential outcomes alone.  The special-case
+reductions (no truncation, perfect compliance, complete data) and the
+survived-complier share under monotonicity are closed forms that the
+tests hold the estimator to.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,20 +28,35 @@ from brokenrct.errors import (
     AllOutcomesMissingError,
     DenominatorDegenerateError,
     EmptyCellError,
+    EstimationError,
     InvalidRecordError,
     MuOutOfUnitIntervalError,
     NoDonorsError,
-    SurvivalMonotonicityWarning,
+    ReductionPreconditionError,
     WeakDenominatorWarning,
 )
-from brokenrct.estimation import Estimate, PaceEstimate, logit, normal_interval
+from brokenrct.estimation import (
+    CellCovariance,
+    Estimate,
+    PaceEstimate,
+    logit,
+    normal_interval,
+)
 from brokenrct.identify import (
     DENOMINATOR_HARD_TOLERANCE,
     DENOMINATOR_WARN_TOLERANCE,
+    MEAN_AT,
+    SURVIVAL_AT,
+    TAKE_AT,
     CellParams,
+    survivor_masses,
 )
-from brokenrct.records import ObservationRecord, as_array
-from brokenrct.simulate import DgpConfig
+from brokenrct.records import CellStatistics, ObservationRecord, as_array, ingest, pool_moments
+from brokenrct.simulate import DgpConfig, generate
+
+
+class SurvivalMonotonicityWarning(UserWarning):
+    """The data empirically contradict survival monotonicity."""
 
 # Employment-study cell values per follow-up year, cells keyed (z, d):
 # survival = employment proportion, mean_y = mean log-earnings of the employed.
@@ -51,6 +72,40 @@ STUDY_CELLS = {
     4: {"survival": {(1, 1): 0.840, (1, 0): 0.815, (0, 1): 0.827, (0, 0): 0.792},
         "mean": {(1, 1): 5.207, (1, 0): 5.128, (0, 1): 5.160, (0, 0): 5.168}},
 }
+
+
+def outcome(fn, *args, **kwargs):
+    """(result or (error type, message), [(warning category, message)])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args, **kwargs)
+        except Exception as exc:  # the error itself is compared
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def same(a, b):
+    """Bit-equal floats: equal values, equal signs of zero, or both nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return a.shape == b.shape and bool(
+        ((a == b) & (np.signbit(a) == np.signbit(b)) | both_nan).all())
+
+
+def assert_same_outcome(got, want):
+    """Two :func:`outcome` results agree: same warnings, and the same error or
+    bit-equal values."""
+    (got_value, got_warnings), (want_value, want_warnings) = got, want
+    assert got_warnings == want_warnings
+    if isinstance(want_value, tuple) and isinstance(want_value[0], type):
+        assert got_value == want_value
+    elif hasattr(want_value, "__dataclass_fields__"):
+        for name in want_value.__dataclass_fields__:
+            g, w = getattr(got_value, name), getattr(want_value, name)
+            assert same(g, w) if isinstance(w, float) else g == w, name
+    else:
+        assert same(got_value, want_value), (got_value, want_value)
 
 
 def dataset_estimates(taus, within_var) -> list[Estimate]:
@@ -560,3 +615,259 @@ def impute_within_cells_reference(records, m: int, seed) -> list[np.ndarray]:
         out[out[:, 3] == 0, 5] = np.nan
         completed.append(out)
     return completed
+
+
+
+def cl_proportion_under_monotonicity(params: CellParams, *,
+                                     assume_survival_monotone: bool = False) -> float:
+    """Share of survived compliers, valid only if S(1) >= S(0) individually.
+
+    That monotonicity is untestable, so the caller must assert it through
+    the flag.  A negative value empirically contradicts the assumption and
+    triggers a warning.
+    """
+    if not assume_survival_monotone:
+        raise ValueError(
+            "the survived-complier share is identified only under individual "
+            "survival monotonicity; pass assume_survival_monotone=True to assert it"
+        )
+    mass = survivor_masses(params)[1]
+    value = mass[0, 0] - mass[1, 0]
+    if value < 0:
+        warnings.warn(
+            f"survived-complier share came out negative ({value:.4f}); "
+            "survival monotonicity is empirically contradicted",
+            SurvivalMonotonicityWarning,
+            stacklevel=2,
+        )
+    return float(value)
+
+
+def _arm_outcome_mean(cells: CellStatistics, z: int) -> float:
+    """Complete-case mean outcome in an assignment arm (both d cells)."""
+    k = cells.y_count[z, 1] + cells.y_count[z, 0]
+    if k == 0:
+        raise ReductionPreconditionError(f"no observed outcomes in arm z={z}")
+    total = cells.y_count[z, 1] * cells.y_mean[z, 1] + cells.y_count[z, 0] * cells.y_mean[z, 0]
+    return float(total / k)
+
+
+def wald_reduction(cells: CellStatistics) -> float:
+    """Uptake-scaled outcome contrast, valid when nothing is truncated.
+
+    With survival identically 1 the estimand collapses to the classical
+    instrumental-variable ratio: the arm difference of complete-case mean
+    outcomes divided by the uptake difference.
+    """
+    if (cells.surv_obs != cells.surv_pos).any():
+        raise ReductionPreconditionError(
+            "the uptake-scaled contrast requires no truncation (all observed s = 1)"
+        )
+    take1, take0 = cells.take_rate(1), cells.take_rate(0)
+    if not np.isfinite(take1) or not np.isfinite(take0):
+        raise ReductionPreconditionError("both assignment arms must be present")
+    if take1 == take0:
+        raise DenominatorDegenerateError("uptake difference is exactly zero")
+    return (_arm_outcome_mean(cells, 1) - _arm_outcome_mean(cells, 0)) / (take1 - take0)
+
+
+def survivor_contrast_reduction(cells: CellStatistics) -> float:
+    """Survivor-arm mean difference, valid under perfect compliance."""
+    if cells.count[1, 0] != 0 or cells.count[0, 1] != 0:
+        raise ReductionPreconditionError(
+            "the survivor contrast requires perfect compliance (d = z for every record)"
+        )
+    return _arm_outcome_mean(cells, 1) - _arm_outcome_mean(cells, 0)
+
+
+def no_missing_reduction(cells: CellStatistics) -> float:
+    """Moment-ratio form of the estimand, valid with fully observed data.
+
+    Computes the treated and untreated survivor-outcome moments per arm as
+    plain averages over the whole arm (subjects contribute d*s*y and
+    (1-d)*s*y, zero when not in the cell) and differences the two ratios.
+    """
+    if cells.miss_s.any() or (cells.y_count != cells.surv_pos).any():
+        raise ReductionPreconditionError(
+            "the moment-ratio form requires fully observed survival and outcomes"
+        )
+    n1, n0 = cells.arm_count(1), cells.arm_count(0)
+    if n1 == 0 or n0 == 0:
+        raise ReductionPreconditionError("both assignment arms must be present")
+
+    def term(d: int) -> float:
+        moment1 = cells.y_count[1, d] * cells.y_mean[1, d] / n1
+        moment0 = cells.y_count[0, d] * cells.y_mean[0, d] / n0
+        mass1 = cells.surv_pos[1, d] / n1
+        mass0 = cells.surv_pos[0, d] / n0
+        den = mass1 - mass0
+        if den == 0:
+            raise DenominatorDegenerateError(
+                f"zero denominator in the d={d} moment ratio"
+            )
+        return (moment1 - moment0) / den
+
+    return term(1) - term(0)
+
+
+def fit_cell_params_reference(cells):
+    """fit_cell_params for one dataset, one (z, d) cell at a time."""
+    n = cells.n_records
+    n1, n0 = cells.arm_count(1), cells.arm_count(0)
+    if n1 == 0 or n0 == 0:
+        raise EmptyCellError(f"assignment arm z={1 if n1 == 0 else 0} has no records")
+    assign_rate = n1 / n
+    take = np.array([cells.take_rate(0), cells.take_rate(1)])
+
+    survival = np.zeros((2, 2))
+    mean_y = np.zeros((2, 2))
+    var_survival = np.zeros((2, 2))
+    var_mean = np.zeros((2, 2))
+    for z in (0, 1):
+        for d in (0, 1):
+            if cells.count[z, d] == 0:
+                continue  # structurally weightless: take-rate factor is exactly 0
+            obs = cells.surv_obs[z, d]
+            if obs == 0:
+                raise EmptyCellError(
+                    f"cell (z={z}, d={d}) has records but no observed survival status"
+                )
+            rate = cells.surv_pos[z, d] / obs
+            survival[z, d] = rate
+            var_survival[z, d] = rate * (1.0 - rate) / obs
+            if cells.surv_pos[z, d] == 0:
+                continue  # no survivors: outcome mean carries zero weight
+            k = cells.y_count[z, d]
+            if k == 0:
+                raise AllOutcomesMissingError(
+                    f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome"
+                )
+            mean_y[z, d] = cells.y_mean[z, d]
+            var_mean[z, d] = cells.y_var(z, d) / k
+
+    params = CellParams(take=take, survival=survival, mean_y=mean_y,
+                        assign_rate=assign_rate)
+    variance = CellParams(take=take * (1 - take) / np.array([n0, n1]),
+                          survival=var_survival, mean_y=var_mean,
+                          assign_rate=assign_rate * (1 - assign_rate) / n)
+    return params, CellCovariance(diagonal=variance.pack())
+
+
+def identify_arms_reference(params, warn=True):
+    """identify_arms for one dataset: (weight, mass, den, mu) by arm."""
+    take = np.asarray(params.take, dtype=float)
+    weight = np.array([[1.0 - take[0], take[0]], [1.0 - take[1], take[1]]])
+    mass = weight * params.survival
+    den = mass[1] - mass[0]
+    for arm in (1, 0):
+        if abs(den[arm]) <= DENOMINATOR_HARD_TOLERANCE:
+            raise DenominatorDegenerateError(
+                f"arm-{arm} mixing denominator is degenerate ({den[arm]:.3e}); "
+                "the survived-complier mean for this arm is not identified"
+            )
+        if warn and abs(den[arm]) < DENOMINATOR_WARN_TOLERANCE:
+            warnings.warn(
+                f"arm-{arm} mixing denominator is small ({den[arm]:.3e}); "
+                "estimates may be unstable",
+                WeakDenominatorWarning,
+                stacklevel=3,
+            )
+    outcome = mass * params.mean_y
+    return weight, mass, den, (outcome[1] - outcome[0]) / den
+
+
+def gradient_reference(params, weight, mass, den, mu, arm):
+    """The arm's packed gradient for one dataset, one z at a time."""
+    grad = np.zeros(11)
+    for z, sign in ((1, 1.0), (0, -1.0)):
+        resid = params.mean_y[z, arm] - mu[arm]
+        grad[TAKE_AT[z]] = (sign if arm else -sign) * params.survival[z, arm] * resid / den[arm]
+        grad[SURVIVAL_AT[z, arm]] = sign * weight[z, arm] * resid / den[arm]
+        grad[MEAN_AT[z, arm]] = sign * mass[z, arm] / den[arm]
+    return grad
+
+
+def estimate_pace_reference(params, cov, level=0.95, n=0, scale="identity"):
+    """estimate_pace for one dataset, in Python scalars."""
+    arms = identify_arms_reference(params)
+    mu1, mu0 = float(arms[3][1]), float(arms[3][0])
+    tau = mu1 - mu0
+    grad1, grad0 = gradient_reference(params, *arms, 1), gradient_reference(params, *arms, 0)
+    if scale == "logit":
+        for name, mu in (("mu1", mu1), ("mu0", mu0)):
+            if not 0.0 < mu < 1.0:
+                raise MuOutOfUnitIntervalError(
+                    f"{name} = {mu:.4f} is outside (0, 1); the log-odds estimand "
+                    "requires a binary outcome and interior means"
+                )
+        grad1 = grad1 / (mu1 * (1.0 - mu1))
+        grad0 = grad0 / (mu0 * (1.0 - mu0))
+        mu1, mu0 = logit(mu1), logit(mu0)
+        tau = mu1 - mu0
+    se = math.sqrt(cov.quadratic_form(grad1 - grad0))
+    return PaceEstimate(
+        "pace", tau, se, *normal_interval(tau, se, level), level=level, n=n,
+        mu1=mu1, mu0=mu0,
+        se_mu1=math.sqrt(cov.quadratic_form(grad1)),
+        se_mu0=math.sqrt(cov.quadratic_form(grad0)),
+        scale=scale,
+    )
+
+
+def tsls_survivors_reference(records, level=0.95):
+    """tsls_survivors for one dataset, in Python scalars."""
+    cells = ingest(records)
+    k = cells.y_count
+    n, n_z1, n_d1 = int(k.sum()), int(k[1].sum()), int(k[:, 1].sum())
+    if n_z1 == 0 or n_z1 == n:
+        raise EmptyCellError("both assignment arms must appear among observed survivors")
+    first_stage_n = n * int(k[1, 1]) - n_z1 * n_d1
+    if first_stage_n == 0:
+        raise DenominatorDegenerateError("zero first stage among survivors")
+    first_stage = first_stage_n / n
+    z_c = np.array([[0.0], [1.0]]) - n_z1 / n
+    y_bar = float((k * cells.y_mean).sum()) / n
+    tau = float((k * z_c * (cells.y_mean - y_bar)).sum()) / first_stage
+    alpha = y_bar - tau * (n_d1 / n)
+    resid = cells.y_mean - alpha - tau * np.array([0.0, 1.0])
+    variance = float((z_c**2 * (cells.y_m2 + k * resid**2)).sum()) / first_stage**2
+    se = math.sqrt(variance)
+    return Estimate("tsls", tau, se, *normal_interval(tau, se, level), level=level, n=n)
+
+
+def itt_at_pp_reference(records, method, level=0.95):
+    """itt_at_pp for one dataset, in Python scalars."""
+    cells = ingest(records)
+    k, mean, m2 = cells.y_count, cells.y_mean, cells.y_m2
+    if method == "itt":
+        k, mean, m2 = pool_moments(k[:, 0], mean[:, 0], m2[:, 0], k[:, 1], mean[:, 1], m2[:, 1])
+    elif method == "at":
+        k, mean, m2 = pool_moments(k[0], mean[0], m2[0], k[1], mean[1], m2[1])
+    else:
+        k, mean, m2 = k.diagonal(), mean.diagonal(), m2.diagonal()
+    if (k == 0).any():
+        raise EmptyCellError(f"{method}: empty comparison group among observed survivors")
+    var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0)
+    tau = float(mean[1] - mean[0])
+    se = math.sqrt(float(var[1] / k[1] + var[0] / k[0]))
+    return Estimate(method, tau, se, *normal_interval(tau, se, level),
+                    level=level, n=int(k.sum()))
+
+
+def estimate_reference(cells, method, level=0.95, scale="identity"):
+    """comparators.estimate for one dataset, by the references above."""
+    if method == "pace":
+        params, cov = fit_cell_params_reference(cells)
+        return estimate_pace_reference(params, cov, level=level, n=cells.n_records, scale=scale)
+    if method == "tsls":
+        return tsls_survivors_reference(cells, level=level)
+    return itt_at_pp_reference(cells, method, level=level)
+
+
+def true_pace_reference(config, oracle_n=1_000_000, seed=2718281828):
+    """The survived-complier truth through the whole of ``generate``."""
+    _, potential = generate(replace(config, n=int(oracle_n)), seed)
+    keep = potential.survived_complier
+    if not keep.any():
+        raise EstimationError("no survived compliers in the oracle draw")
+    return float((potential.y1[keep] - potential.y0[keep]).mean())

@@ -27,32 +27,26 @@ import numpy as np
 import pytest
 
 from brokenrct.cli import main
-from brokenrct.errors import EstimationError
 from brokenrct.estimation import (
     estimate_pace,
     fit_cell_params,
     gradient_mu,
 )
-from brokenrct.identify import (
-    CellParams,
-    no_missing_reduction,
-    pace_denominators,
-    pace_identify,
-    strata_proportions,
-    survivor_contrast_reduction,
-    wald_reduction,
-)
+from brokenrct.identify import CellParams, pace_denominators, pace_identify, strata_proportions
 from brokenrct.imputation import pool_estimates
 from brokenrct.records import cells_from_arrays, ingest, write_csv
-from brokenrct.simulate import DgpConfig, _estimate, generate, run_study
+from brokenrct.simulate import DgpConfig, _run_chunk, generate, run_study
 
 from helpers import (
     dataset_estimates,
     delete_outcomes_mcar,
+    no_missing_reduction,
     population_params,
     population_stratum_table,
     stratum_oracle,
     study_params,
+    survivor_contrast_reduction,
+    wald_reduction,
 )
 
 STUDY_SEED = 20260809
@@ -214,21 +208,17 @@ def test_criterion_5b_table2_tsls_bias_ranges(table2):
 def replicate_estimates(case, size_index, n, reps, seed):
     """Per-replication (pace, tsls) estimates of one study cell, nan on failure.
 
-    Rebuilds the study's counter-keyed replication streams, so the column
+    Runs the study's own task on all of the cell's replications: the same
+    counter-keyed streams and the same stacked estimates, so the column
     SDs over non-failed replications are those of the study's rows.
     """
-    config = DgpConfig(n=n, case=case)
-    taus = np.full((reps, 2), np.nan)
-    for rep in range(reps):
-        stream = np.random.SeedSequence(entropy=seed, spawn_key=(case, size_index, rep))
-        arr, _ = generate(config, stream)
-        cells = cells_from_arrays(*arr.T)
-        for j, name in enumerate(("pace", "tsls")):
-            try:
-                taus[rep, j] = _estimate(cells, name).tau
-            except EstimationError:
-                pass
-    return taus
+    names = ("pace", "tsls")
+    out = _run_chunk((DgpConfig(n=n, case=case), case, size_index, range(reps), seed, names))
+    taus = []
+    for name in names:
+        tau, _, _, _, failed = out[name]
+        taus.append(np.where(failed, np.nan, tau))
+    return np.column_stack(taus)
 
 
 def sd_pair(taus):

@@ -17,21 +17,20 @@ from hypothesis import strategies as st
 
 from brokenrct.errors import DenominatorDegenerateError, WeakDenominatorWarning
 from brokenrct.estimation import CellCovariance, estimate_pace, fit_cell_params, gradient_mu
-from brokenrct.identify import (
-    CellParams,
-    cl_proportion_under_monotonicity,
-    pace_denominators,
-    pace_identify,
-)
+from brokenrct.identify import CellParams, pace_denominators, pace_identify
 from brokenrct.records import cells_from_arrays
 
 from helpers import (
+    assert_same_outcome,
     cl_proportion_twin,
+    cl_proportion_under_monotonicity,
     covariance_diagonal_twin,
     estimate_pace_twin,
     gradient_mu_twin,
+    outcome,
     pace_denominators_twin,
     pace_identify_twin,
+    same,
 )
 
 #: values that make exact ties, zero masses and signed zeros common
@@ -57,38 +56,6 @@ def cell_params(draw):
             survival[0, d] = (weight[1] * survival[1, d] - target) / weight[0]
     return CellParams(take=take, survival=survival, mean_y=mean_y,
                       assign_rate=draw(st.floats(0.05, 0.95)))
-
-
-def outcome(fn, *args, **kwargs):
-    """(result or (error type, message), [(warning category, message)])."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = fn(*args, **kwargs)
-        except Exception as exc:  # the error itself is compared
-            result = (type(exc), str(exc))
-    return result, [(w.category, str(w.message)) for w in caught]
-
-
-def same(a, b):
-    """Bit-equal floats: equal values, equal signs of zero, or both nan."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    both_nan = np.isnan(a) & np.isnan(b)
-    return a.shape == b.shape and bool(
-        ((a == b) & (np.signbit(a) == np.signbit(b)) | both_nan).all())
-
-
-def assert_same_outcome(got, want):
-    (got_value, got_warnings), (want_value, want_warnings) = got, want
-    assert got_warnings == want_warnings
-    if isinstance(want_value, tuple) and isinstance(want_value[0], type):
-        assert got_value == want_value
-    elif hasattr(want_value, "__dataclass_fields__"):
-        for name in want_value.__dataclass_fields__:
-            g, w = getattr(got_value, name), getattr(want_value, name)
-            assert same(g, w) if isinstance(w, float) else g == w, name
-    else:
-        assert same(got_value, want_value), (got_value, want_value)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -14,7 +14,6 @@ from brokenrct.errors import (
 )
 from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.estimators import PaceEstimator, SurvivorContrast, TwoStageLeastSquares
-from brokenrct.identify import survivor_contrast_reduction, wald_reduction
 from brokenrct.records import ingest, validate_design
 from brokenrct.simulate import DgpConfig, generate
 
@@ -23,8 +22,10 @@ from helpers import (
     STUDY_TAKE,
     build_study_dataset,
     itt_at_pp_rows,
+    survivor_contrast_reduction,
     survivor_outcome_rows,
     tsls_rows,
+    wald_reduction,
 )
 
 #: relative agreement of the closed forms with the row-level reference,

@@ -17,11 +17,11 @@ from brokenrct.estimation import (
     normal_quantile,
     two_sided_p,
 )
-from brokenrct.identify import CellParams, pace_identify, wald_reduction
+from brokenrct.identify import CellParams, pace_identify
 from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import study_params
+from helpers import study_params, wald_reduction
 
 
 def rows_to_cells(rows):

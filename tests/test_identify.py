@@ -9,25 +9,29 @@ from brokenrct.errors import (
     DenominatorDegenerateError,
     IdentificationWarning,
     ReductionPreconditionError,
-    SurvivalMonotonicityWarning,
     WeakDenominatorWarning,
 )
 from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.identify import (
     CellParams,
-    cl_proportion_under_monotonicity,
     complier_survival,
-    no_missing_reduction,
     pace_identify,
     strata_proportions,
-    survivor_contrast_reduction,
     survivor_masses,
-    wald_reduction,
 )
 from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import case1_params_oracle, population_params, study_params
+from helpers import (
+    SurvivalMonotonicityWarning,
+    case1_params_oracle,
+    cl_proportion_under_monotonicity,
+    no_missing_reduction,
+    population_params,
+    study_params,
+    survivor_contrast_reduction,
+    wald_reduction,
+)
 
 
 def flat_params(take0, take1, survival=1.0, mean=1.0):

@@ -3,22 +3,23 @@ import pytest
 
 from brokenrct import identify, simulate
 from brokenrct.cli import build_parser
-from brokenrct.comparators import METHODS
-from brokenrct.errors import EstimationError
+from brokenrct.comparators import METHODS, estimate
+from brokenrct.errors import EstimationError, Reason
 from brokenrct.estimation import fit_cell_params
 from brokenrct.identify import DENOMINATOR_WARN_TOLERANCE
-from brokenrct.records import cells_from_arrays
+from brokenrct.records import CellStatistics, cells_from_arrays
 from brokenrct.simulate import (
     DgpConfig,
     SimulationReport,
     StudyRow,
-    _estimate,
+    _replication_seed,
+    _run_chunk,
     generate,
     run_study,
     true_pace,
 )
 
-from helpers import case1_params_oracle, pace_denominators_twin
+from helpers import case1_params_oracle, pace_denominators_twin, true_pace_reference
 
 
 class TestGenerate:
@@ -90,6 +91,25 @@ class TestTruePace:
     def test_matches_analytic_truth(self, case, expected):
         value = true_pace(DgpConfig(n=1, case=case), oracle_n=400_000, seed=67)
         assert value == pytest.approx(expected, abs=0.02)
+
+    @pytest.mark.parametrize("config", [
+        DgpConfig(case=1), DgpConfig(case=2), DgpConfig(case=3), DgpConfig(case=4),
+        DgpConfig(case=2, assign_rate=0.8, p_d0=0.1, p_d1_given_not_d0=0.7),
+        DgpConfig(case=4, surv_coef_control=(0.5, 0.1, 0.3), surv_coef_treated=(0.6, 0.2, 0.1),
+                  y0_gain_from_s1=-0.5, never_sd=1.0),
+        DgpConfig(case=3, assign_rate=0.0, mean_gain=-0.4, sd_base=1.5, y1_gain_from_s0=2.0),
+    ])
+    def test_bit_equal_to_the_truth_drawn_through_generate(self, config):
+        for seed in (3, (config.case, 999999)):
+            got = true_pace(config, oracle_n=20_000, seed=np.random.SeedSequence(seed))
+            want = true_pace_reference(config, oracle_n=20_000, seed=np.random.SeedSequence(seed))
+            assert got == want
+
+    def test_no_survived_compliers_raises_like_the_reference(self):
+        config = DgpConfig(case=1, p_d1_given_not_d0=0.0)
+        for truth in (true_pace, true_pace_reference):
+            with pytest.raises(EstimationError, match="^no survived compliers in the oracle draw$"):
+                truth(config, oracle_n=1000, seed=1)
 
     def test_survived_complier_gap_case1(self):
         _, pot = generate(DgpConfig(n=400_000, case=1), seed=68)
@@ -164,20 +184,18 @@ class TestRunStudy:
 
         monkeypatch.setattr(identify, "survivor_masses", counted)
         config = DgpConfig(n=300, case=1, p_d1_given_not_d0=0.1)
-        rejected = 0
-        for seed in range(40):
-            cells = cells_from_arrays(*generate(config, seed)[0].T)
-            den = pace_denominators_twin(fit_cell_params(cells)[0])
-            in_band = min(map(abs, den)) < DENOMINATOR_WARN_TOLERANCE
-            calls.clear()
-            if in_band:
-                with pytest.raises(EstimationError, match="mixing denominator is small"):
-                    _estimate(cells, "pace")
-            else:
-                assert np.isfinite(_estimate(cells, "pace").tau)
-            assert len(calls) == 1
-            rejected += in_band
-        assert 0 < rejected < 40
+        cells = [cells_from_arrays(*generate(config, _replication_seed(9, 1, 0, rep))[0].T)
+                 for rep in range(40)]
+        in_band = np.array([min(map(abs, pace_denominators_twin(fit_cell_params(c)[0])))
+                            < DENOMINATOR_WARN_TOLERANCE for c in cells])
+        calls.clear()
+        tau, _, _, _, failed = _run_chunk((config, 1, 0, range(40), 9, ("pace",)))["pace"]
+        assert len(calls) == 1  # one identification for the whole chunk
+        assert np.array_equal(failed, in_band)
+        assert np.isfinite(tau[~failed]).all()
+        assert 0 < in_band.sum() < 40
+        reason = estimate(CellStatistics.stack(cells), "pace").reason
+        assert np.array_equal(reason, np.where(in_band, Reason.WEAK_DENOMINATOR, Reason.OK))
 
     @pytest.mark.parametrize("field,value,repeated", [
         ("cases", [1, 2, 1], "1"), ("sizes", [300, 300], "300"),
