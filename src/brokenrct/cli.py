@@ -24,7 +24,7 @@ from .comparators import METHODS, check_scale, estimate
 from .errors import BrokenRctError, EstimationError, SchemaError
 from .estimation import SCALES, estimate_pace, fit_cell_params
 from .identify import complier_survival, strata_proportions
-from .imputation import impute_within_cells, pool_estimates, read_completed_dir
+from .imputation import _completed_cells, pool_estimates, read_completed_dir
 from .records import cells_from_arrays, read_csv, validate_design
 from .simulate import DgpConfig, run_study
 
@@ -120,13 +120,12 @@ def cmd_analyze(args) -> int:
     datasets = None
     mode = "complete-case"
     if args.impute is not None:
-        datasets = impute_within_cells(arr, args.impute, args.seed)
+        datasets = _completed_cells(arr, cells, args.impute, args.seed)
         mode = f"impute m={args.impute} seed={args.seed}"
     elif args.completed_dir is not None:
-        datasets = read_completed_dir(args.completed_dir)
+        datasets = [cells_from_arrays(*dataset.T)
+                    for dataset in read_completed_dir(args.completed_dir)]
         mode = f"completed-dir m={len(datasets)}"
-    if datasets is not None:
-        datasets = [cells_from_arrays(*dataset.T) for dataset in datasets]
 
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
@@ -237,10 +236,11 @@ def load_study_config(path) -> dict:
 
 def cmd_simulate(args) -> int:
     config = load_study_config(args.config)
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()
     settings = {key: value for key, value in config.items() if key != "dgp"}
     report = run_study(config=DgpConfig(**config["dgp"]), **settings)
+    # n_jobs sets how the study runs, not what it computes
+    study = {key: value for key, value in config.items() if key != "n_jobs"}
+    digest = hashlib.sha256(json.dumps(study, sort_keys=True).encode()).hexdigest()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")
@@ -249,7 +249,7 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "seed": config["seed"],
         "config_sha256": digest,
-        "config": config,
+        "config": study,
     }
     (out_dir / "metadata.json").write_text(
         json.dumps(metadata, indent=2, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ import inspect
 from . import comparators, identify, imputation
 from .estimation import estimate_pace, fit_cell_params
 from .records import as_array, cells_from_arrays, validate_design, warn_if_weak
+from .simulate import _is_int
 
 
 class BaseReportingEstimator:
@@ -79,9 +80,10 @@ class PaceEstimator(BaseReportingEstimator):
     level : confidence level for intervals.
     scale : "identity" for the mean difference, "logit" for the log odds
         ratio (binary outcomes).
-    impute : if a positive integer m, run within-cell hot-deck imputation m
-        times and pool the per-dataset estimates; otherwise analyse complete
-        cases (which ignores missingness uncertainty).
+    impute : None to analyse complete cases (which ignores missingness
+        uncertainty), or an integer m >= 2 to run within-cell hot-deck
+        imputation m times and pool the per-dataset estimates; ``fit``
+        rejects any other value with ``ValueError`` before doing any work.
     seed : generator seed for imputation draws.
 
     ``fit`` warns when the first-stage difference is below the validation
@@ -98,6 +100,8 @@ class PaceEstimator(BaseReportingEstimator):
         self.seed = seed
 
     def fit(self, X, y=None):
+        if self.impute is not None and not _is_int(self.impute, 2):
+            raise ValueError(f"impute must be None or an integer >= 2, got {self.impute!r}")
         arr = as_array(X)
         self.cells_ = cells_from_arrays(*arr.T)
         self.validation_ = validate_design(self.cells_)
@@ -108,12 +112,11 @@ class PaceEstimator(BaseReportingEstimator):
         self.strata_proportions_ = identify.strata_proportions(self.params_)
         self.complier_survival_ = identify.complier_survival(self.params_)
         self.pooled_ = None
-        if self.impute:
-            datasets = imputation.impute_within_cells(arr, self.impute, self.seed)
+        if self.impute is not None:
+            datasets = imputation._completed_cells(arr, self.cells_, self.impute, self.seed)
             self.pooled_ = imputation.pool_estimates(
-                [comparators.estimate(cells_from_arrays(*dataset.T), "pace",
-                                      self.level, self.scale) for dataset in datasets],
-                level=self.level)
+                [comparators.estimate(cells, "pace", self.level, self.scale)
+                 for cells in datasets], level=self.level)
         self.result_ = self.pooled_ or self.estimate_
         return self
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoDonorsError, ReductionPreconditionError
 from .estimation import normal_interval
-from .records import as_array, read_csv
+from .records import CellStatistics, as_array, outcome_moments, read_csv
 
 
 @dataclass(frozen=True)
@@ -49,27 +50,88 @@ class PooledEstimate:
         return (self.ci_lower, self.ci_upper)
 
 
+#: the (z, d) cells in plan and draw order
+CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+class _CellPlan(NamedTuple):
+    """What every imputation of one (z, d) cell draws from."""
+
+    s_rows: np.ndarray   # rows missing s
+    rate: float          # observed survival rate (0.0 when no row misses s)
+    y_rows: np.ndarray   # rows that may need an outcome: missing s or missing y
+    n_miss_y: int        # observed survivors missing y
+    donors: np.ndarray   # observed survivor outcomes, sorted
+
+
 def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     """Return m completed datasets as (n, 6) arrays, reproducible from seed.
 
-    One plan is built per call, per (z, d) cell in the order (0, 0), (0, 1),
-    (1, 0), (1, 1): the rows missing s, the observed survival rate, the rows
-    that may need an outcome (missing s or missing y) and the sorted outcome
-    donors.  Building it raises when a cell contains a missing value but no
-    observed donor for that variable.  Each imputation draws s for the
-    planned rows, then a donor for each planned outcome row whose s is now 1;
-    a record whose imputed survival is 0 keeps an undefined outcome.  Draws
-    are independent across imputations.
+    Each imputation sets every survival status to observed, writes the
+    survival draws into the rows missing s, then a donor outcome into each
+    row that now has s = 1 but no outcome; a record whose imputed survival
+    is 0 keeps an undefined outcome.  Draws are independent across
+    imputations.  Raises :class:`NoDonorsError` when a cell contains a
+    missing value but no observed donor for that variable.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     arr = as_array(records)
+    plan = _plan(arr)
+    completed = []
+    for draws in _draws(plan, m, seed):
+        out = arr.copy()
+        out[:, 2] = 1.0
+        for cell, (alive, picks) in zip(plan, draws):
+            out[cell.s_rows, 3] = alive
+            rows = cell.y_rows[out[cell.y_rows, 3] == 1]
+            out[rows, 4] = 1.0
+            out[rows, 5] = cell.donors[picks]
+        completed.append(out)
+    return completed
+
+
+def _completed_cells(arr: np.ndarray, cells: CellStatistics, m: int,
+                     seed) -> list[CellStatistics]:
+    """The cell statistics of the m datasets of ``impute_within_cells(arr, m, seed)``.
+
+    ``arr`` is an already validated array and ``cells`` its statistics; no
+    completed dataset is built.  In each completed cell every survival
+    status is observed, the survivors are the observed ones plus the drawn
+    ones, and the outcomes are each donor once plus once per draw of it.
+    Those outcomes, in sorted order, are the ones that
+    :func:`~brokenrct.records.cells_from_arrays` would sort, so every field
+    is bit-identical to its result on the completed dataset.
+    """
+    plan = _plan(arr)
+    completed = []
+    for draws in _draws(plan, m, seed):
+        surv_pos = cells.surv_pos.copy()
+        y_count = np.zeros((2, 2), dtype=np.int64)
+        y_mean = np.zeros((2, 2), dtype=float)
+        y_m2 = np.zeros((2, 2), dtype=float)
+        for (zz, dd), cell, (alive, picks) in zip(CELLS, plan, draws):
+            surv_pos[zz, dd] += np.count_nonzero(alive)
+            draws_per_donor = np.bincount(picks, minlength=cell.donors.size)
+            outcomes = np.repeat(cell.donors, draws_per_donor + 1)
+            y_count[zz, dd], y_mean[zz, dd], y_m2[zz, dd] = outcome_moments(outcomes)
+        completed.append(CellStatistics(cells.count.copy(), cells.count.copy(), surv_pos,
+                                        np.zeros_like(cells.miss_s), y_count, y_mean, y_m2))
+    return completed
+
+
+def _plan(arr: np.ndarray) -> list[_CellPlan]:
+    """The plan of each cell of :data:`CELLS` for a validated array.
+
+    Raises :class:`NoDonorsError` when a cell contains a missing value but
+    no observed donor for that variable.
+    """
     z, d, delta_s, s, delta_y, y = arr.T
     observed_s = delta_s == 1
     survivor = observed_s & (s == 1)
     miss_y = survivor & (delta_y == 0)
     plan = []
-    for zz, dd in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    for zz, dd in CELLS:
         cell = (z == zz) & (d == dd)
         s_rows = np.flatnonzero(cell & ~observed_s)
         rate = 0.0
@@ -79,26 +141,29 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
                                     "but has no observed survival status")
             rate = float(s[cell & observed_s].mean())
         donors = np.sort(y[cell & survivor & (delta_y == 1)])
-        if donors.size == 0 and (cell & miss_y).any():
+        n_miss_y = int(np.count_nonzero(cell & miss_y))
+        if donors.size == 0 and n_miss_y:
             raise NoDonorsError(f"cell (z={zz}, d={dd}, s=1) needs outcome imputation "
                                 "but has no observed outcome")
-        plan.append((s_rows, rate, np.flatnonzero(cell & (~observed_s | miss_y)), donors))
+        plan.append(_CellPlan(s_rows, rate, np.flatnonzero(cell & (~observed_s | miss_y)),
+                              n_miss_y, donors))
+    return plan
 
-    completed = []
+
+def _draws(plan: list[_CellPlan], m: int, seed):
+    """Yield, per imputation, each cell's (survival draws, donor indices).
+
+    Imputations draw from independent streams spawned from ``seed``.  Within
+    one, the survival draws of the rows missing s come first, cell by cell,
+    then one donor index per outcome to impute, cell by cell: the observed
+    survivors missing y and the drawn survivors.
+    """
     for child in np.random.SeedSequence(seed).spawn(m):
         rng = np.random.default_rng(child)
-        out = arr.copy()
-        out[:, 2] = 1.0
-        for s_rows, rate, _, _ in plan:
-            if s_rows.size:
-                out[s_rows, 3] = rng.random(s_rows.size) < rate
-        for _, _, y_rows, donors in plan:
-            rows = y_rows[out[y_rows, 3] == 1]
-            if rows.size:
-                out[rows, 4] = 1.0
-                out[rows, 5] = donors[rng.integers(0, donors.size, rows.size)]
-        completed.append(out)
-    return completed
+        alive = [rng.random(cell.s_rows.size) < cell.rate for cell in plan]
+        picks = [rng.integers(0, cell.donors.size, cell.n_miss_y + np.count_nonzero(drawn))
+                 for cell, drawn in zip(plan, alive)]
+        yield list(zip(alive, picks))
 
 
 def pool_estimates(estimates, level: float = 0.95) -> PooledEstimate:

@@ -141,6 +141,19 @@ def pool_moments(ka, mean_a, m2a, kb, mean_b, m2b):
     return k, mean, m2
 
 
+def outcome_moments(ys: np.ndarray) -> tuple[int, float, float]:
+    """Count, mean and M2 of one cell's outcomes, given in sorted order.
+
+    Every cell's moments are computed here, so two routes to the same
+    sorted outcomes give bit-identical statistics.  An empty cell gives
+    (0, 0.0, 0.0).
+    """
+    if ys.size == 0:
+        return 0, 0.0, 0.0
+    mean = float(ys.mean())
+    return ys.size, mean, float(((ys - mean) ** 2).sum())
+
+
 def ingest(records) -> CellStatistics:
     """Reduce records to cell statistics; a :class:`CellStatistics` passes through.
 
@@ -185,12 +198,8 @@ def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
             surv_obs[zz, dd] = obs.sum()
             surv_pos[zz, dd] = (obs & (s == 1)).sum()
             miss_s[zz, dd] = (cell & (delta_s == 0)).sum()
-            ys = np.sort(y[cell & observed_y])
-            y_count[zz, dd] = ys.size
-            if ys.size:
-                mean = float(ys.mean())
-                y_mean[zz, dd] = mean
-                y_m2[zz, dd] = float(((ys - mean) ** 2).sum())
+            y_count[zz, dd], y_mean[zz, dd], y_m2[zz, dd] = outcome_moments(
+                np.sort(y[cell & observed_y]))
     return CellStatistics(count, surv_obs, surv_pos, miss_s, y_count, y_mean, y_m2)
 
 

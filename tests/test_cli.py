@@ -100,11 +100,11 @@ class TestAnalyze:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[1:])
+            calls.append(args[2:])
             return impute(*args, **kwargs)
 
-        impute = cli.impute_within_cells
-        monkeypatch.setattr(cli, "impute_within_cells", counted)
+        impute = cli._completed_cells
+        monkeypatch.setattr(cli, "_completed_cells", counted)
         argv = ["analyze", "--input", str(path), "--method", "tsls", "--impute", "20"]
         code, out, err = run_cli(capsys, argv + ["--scale", "logit"])
         assert (code, out) == (4, "")
@@ -261,6 +261,20 @@ class TestSimulate:
         metadata = json.loads((out_a / "metadata.json").read_text())
         assert metadata["seed"] == 5
         assert len(metadata["config_sha256"]) == 64
+
+    def test_metadata_leaves_out_n_jobs(self, capsys, tmp_path):
+        outputs = []
+        for n_jobs in (1, 2):
+            config = self.write_config(tmp_path, n_jobs=n_jobs)
+            out_dir = tmp_path / f"jobs{n_jobs}"
+            assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+            outputs.append((out_dir / "metadata.json").read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        metadata = json.loads(outputs[0])
+        assert "n_jobs" not in metadata["config"]
+        digest = hashlib.sha256(json.dumps(metadata["config"], sort_keys=True).encode())
+        assert metadata["config_sha256"] == digest.hexdigest()
 
     def test_report_round_trip(self, capsys, tmp_path):
         config = self.write_config(tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ class TestPaceEstimatorFit:
         assert a.se_ > 0
         c = PaceEstimator(impute=5, seed=43).fit(damaged)
         assert c.tau_ != a.tau_
+
+    @pytest.mark.parametrize("impute", [0, 1, -3, True, False, 2.5, 3.0, "3"])
+    def test_invalid_impute_is_rejected_before_the_records(self, impute):
+        with pytest.raises(ValueError, match=rf"^impute must be None or an integer >= 2, "
+                                             rf"got {re.escape(repr(impute))}$"):
+            PaceEstimator(impute=impute).fit(np.full((1, 6), 7.0))
+
+    def test_numpy_integer_impute(self, sample):
+        damaged = delete_outcomes_mcar(sample, 0.2, seed=8)
+        a = PaceEstimator(impute=np.int64(3), seed=4).fit(damaged)
+        assert a.pooled_ == PaceEstimator(impute=3, seed=4).fit(damaged).pooled_
 
     def test_logit_scale_on_binary_outcomes(self, sample):
         arr = sample.copy()

@@ -1,13 +1,21 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokenrct.comparators import estimate
 from brokenrct.errors import InvalidRecordError, NoDonorsError
 from brokenrct.estimation import estimate_pace, fit_cell_params
-from brokenrct.imputation import impute_within_cells, pool_estimates, read_completed_dir
+from brokenrct.estimators import PaceEstimator
+from brokenrct.imputation import (
+    _completed_cells,
+    impute_within_cells,
+    pool_estimates,
+    read_completed_dir,
+)
 from brokenrct.records import cells_from_arrays, ingest, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
@@ -150,6 +158,37 @@ def imputation_outcome(impute, arr, m, seed):
 def test_plan_matches_reference(arr, m, seed):
     expected = imputation_outcome(impute_within_cells_reference, arr, m, seed)
     assert imputation_outcome(impute_within_cells, arr, m, seed) == expected
+
+
+def completed_cells_outcome(completed_cells, arr, m, seed):
+    """Every field of each completed dataset's cells, or the exception's type and message."""
+    try:
+        completed = completed_cells(arr, m, seed)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [[(f.name, getattr(c, f.name).dtype, getattr(c, f.name).tobytes()) for f in fields(c)]
+            for c in completed]
+
+
+@settings(max_examples=400, deadline=None)
+@given(arr=damaged_datasets(), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_completed_cells_match_reference(arr, m, seed):
+    def via_arrays(arr, m, seed):
+        return [cells_from_arrays(*a.T) for a in impute_within_cells_reference(arr, m, seed)]
+
+    def via_cells(arr, m, seed):
+        return _completed_cells(arr, cells_from_arrays(*arr.T), m, seed)
+
+    expected = completed_cells_outcome(via_arrays, arr, m, seed)
+    assert completed_cells_outcome(via_cells, arr, m, seed) == expected
+
+
+def test_estimator_pools_the_completed_arrays():
+    arr, _ = generate(DgpConfig(n=3000, case=2), seed=57)
+    damaged = delete_survival_mcar(delete_outcomes_mcar(arr, 0.2, seed=7), 0.1, seed=8)
+    expected = pool_estimates([estimate(cells_from_arrays(*a.T), "pace")
+                               for a in impute_within_cells(damaged, 4, 21)])
+    assert PaceEstimator(impute=4, seed=21).fit(damaged).pooled_ == expected
 
 
 def test_m_below_one_is_rejected_before_the_records():
