@@ -4,8 +4,11 @@ Missing survival statuses are drawn Bernoulli with the cell's observed
 survival proportion; missing outcomes among survivors are drawn uniformly
 from the cell's observed outcomes.  This is the weakest imputation model
 consistent with missingness-at-random inside (z, d) cells: it adds no
-parametric assumptions.  Model-based imputations can be supplied instead as
-a directory of completed CSV datasets.
+parametric assumptions.  The draws are planned from the cell statistics:
+every count comes from :class:`~brokenrct.records.CellStatistics`, and
+only each cell's sorted donors, :func:`~brokenrct.records.cell_outcomes`,
+are read from the rows.  Model-based imputations can be supplied instead
+as a directory of completed CSV datasets.
 """
 
 from __future__ import annotations
@@ -13,13 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoDonorsError, ReductionPreconditionError
 from .estimation import normal_interval
-from .records import CellStatistics, as_array, outcome_moments, read_csv
+from .records import (
+    CELLS,
+    CellStatistics,
+    as_array,
+    cell_outcomes,
+    cells_from_arrays,
+    outcome_moments,
+    read_csv,
+)
 
 
 @dataclass(frozen=True)
@@ -50,20 +60,6 @@ class PooledEstimate:
         return (self.ci_lower, self.ci_upper)
 
 
-#: the (z, d) cells in plan and draw order
-CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-class _CellPlan(NamedTuple):
-    """What every imputation of one (z, d) cell draws from."""
-
-    s_rows: np.ndarray   # rows missing s
-    rate: float          # observed survival rate (0.0 when no row misses s)
-    y_rows: np.ndarray   # rows that may need an outcome: missing s or missing y
-    n_miss_y: int        # observed survivors missing y
-    donors: np.ndarray   # observed survivor outcomes, sorted
-
-
 def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     """Return m completed datasets as (n, 6) arrays, reproducible from seed.
 
@@ -77,16 +73,23 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     if m < 1:
         raise ValueError("m must be at least 1")
     arr = as_array(records)
-    plan = _plan(arr)
+    if not len(arr):  # nothing to draw, and cells_from_arrays rejects empty input
+        return [arr.copy() for _ in range(m)]
+    donors = cell_outcomes(*arr.T)
+    z, d, delta_s, s, delta_y, _ = arr.T
+    may_need_y = (delta_s == 0) | ((s == 1) & (delta_y == 0))
+    cell_rows = [(z == zz) & (d == dd) for zz, dd in CELLS]
+    s_rows = [np.flatnonzero(rows & (delta_s == 0)) for rows in cell_rows]
+    y_rows = [np.flatnonzero(rows & may_need_y) for rows in cell_rows]
     completed = []
-    for draws in _draws(plan, m, seed):
+    for draws in _draws(cells_from_arrays(*arr.T), donors, m, seed):
         out = arr.copy()
         out[:, 2] = 1.0
-        for cell, (alive, picks) in zip(plan, draws):
-            out[cell.s_rows, 3] = alive
-            rows = cell.y_rows[out[cell.y_rows, 3] == 1]
+        for s_at, y_at, pool, (alive, picks) in zip(s_rows, y_rows, donors, draws):
+            out[s_at, 3] = alive
+            rows = y_at[out[y_at, 3] == 1]
             out[rows, 4] = 1.0
-            out[rows, 5] = cell.donors[picks]
+            out[rows, 5] = pool[picks]
         completed.append(out)
     return completed
 
@@ -96,73 +99,54 @@ def _completed_cells(arr: np.ndarray, cells: CellStatistics, m: int,
     """The cell statistics of the m datasets of ``impute_within_cells(arr, m, seed)``.
 
     ``arr`` is an already validated array and ``cells`` its statistics; no
-    completed dataset is built.  In each completed cell every survival
-    status is observed, the survivors are the observed ones plus the drawn
-    ones, and the outcomes are each donor once plus once per draw of it.
-    Those outcomes, in sorted order, are the ones that
-    :func:`~brokenrct.records.cells_from_arrays` would sort, so every field
-    is bit-identical to its result on the completed dataset.
+    completed dataset is built, and only the donors of
+    :func:`~brokenrct.records.cell_outcomes` are read from the rows.  In each
+    completed cell every survival status is observed, the survivors are the
+    observed ones plus the drawn ones, and the outcomes are each donor once
+    plus once per draw of it.  Those outcomes, in sorted order, are the ones
+    that :func:`~brokenrct.records.cells_from_arrays` would sort, so every
+    field is bit-identical to its result on the completed dataset.
     """
-    plan = _plan(arr)
+    donors = cell_outcomes(*arr.T)
     completed = []
-    for draws in _draws(plan, m, seed):
-        surv_pos = cells.surv_pos.copy()
-        y_count = np.zeros((2, 2), dtype=np.int64)
-        y_mean = np.zeros((2, 2), dtype=float)
-        y_m2 = np.zeros((2, 2), dtype=float)
-        for (zz, dd), cell, (alive, picks) in zip(CELLS, plan, draws):
-            surv_pos[zz, dd] += np.count_nonzero(alive)
-            draws_per_donor = np.bincount(picks, minlength=cell.donors.size)
-            outcomes = np.repeat(cell.donors, draws_per_donor + 1)
-            y_count[zz, dd], y_mean[zz, dd], y_m2[zz, dd] = outcome_moments(outcomes)
-        completed.append(CellStatistics(cells.count.copy(), cells.count.copy(), surv_pos,
-                                        np.zeros_like(cells.miss_s), y_count, y_mean, y_m2))
+    for draws in _draws(cells, donors, m, seed):
+        drawn = np.array([np.count_nonzero(alive) for alive, _ in draws]).reshape(2, 2)
+        outcomes = [np.repeat(pool, np.bincount(picks, minlength=pool.size) + 1)
+                    for pool, (_, picks) in zip(donors, draws)]
+        completed.append(CellStatistics(cells.count.copy(), cells.count.copy(),
+                                        cells.surv_pos + drawn, np.zeros_like(cells.miss_s),
+                                        *outcome_moments(outcomes)))
     return completed
 
 
-def _plan(arr: np.ndarray) -> list[_CellPlan]:
-    """The plan of each cell of :data:`CELLS` for a validated array.
-
-    Raises :class:`NoDonorsError` when a cell contains a missing value but
-    no observed donor for that variable.
-    """
-    z, d, delta_s, s, delta_y, y = arr.T
-    observed_s = delta_s == 1
-    survivor = observed_s & (s == 1)
-    miss_y = survivor & (delta_y == 0)
-    plan = []
-    for zz, dd in CELLS:
-        cell = (z == zz) & (d == dd)
-        s_rows = np.flatnonzero(cell & ~observed_s)
-        rate = 0.0
-        if s_rows.size:
-            if not (cell & observed_s).any():
-                raise NoDonorsError(f"cell (z={zz}, d={dd}) needs survival imputation "
-                                    "but has no observed survival status")
-            rate = float(s[cell & observed_s].mean())
-        donors = np.sort(y[cell & survivor & (delta_y == 1)])
-        n_miss_y = int(np.count_nonzero(cell & miss_y))
-        if donors.size == 0 and n_miss_y:
-            raise NoDonorsError(f"cell (z={zz}, d={dd}, s=1) needs outcome imputation "
-                                "but has no observed outcome")
-        plan.append(_CellPlan(s_rows, rate, np.flatnonzero(cell & (~observed_s | miss_y)),
-                              n_miss_y, donors))
-    return plan
-
-
-def _draws(plan: list[_CellPlan], m: int, seed):
+def _draws(cells: CellStatistics, donors: list[np.ndarray], m: int, seed):
     """Yield, per imputation, each cell's (survival draws, donor indices).
 
-    Imputations draw from independent streams spawned from ``seed``.  Within
-    one, the survival draws of the rows missing s come first, cell by cell,
-    then one donor index per outcome to impute, cell by cell: the observed
-    survivors missing y and the drawn survivors.
+    ``donors`` are the sorted donors of each cell of :data:`CELLS`; every
+    count is read from ``cells``.  A cell draws survival for its ``miss_s``
+    records at the rate ``surv_pos / surv_obs``, then one donor index per
+    outcome to impute: its ``surv_pos - y_count`` observed survivors missing
+    y and its drawn survivors.  Imputations draw from independent streams
+    spawned from ``seed``.  Within one, the survival draws come first, cell
+    by cell, then the donor indices, cell by cell.
+
+    Raises :class:`NoDonorsError`, before any draw, for the first cell that
+    contains a missing value but no observed donor for that variable.
     """
+    miss_y = cells.surv_pos - cells.y_count
+    for zz, dd in CELLS:
+        if cells.miss_s[zz, dd] and not cells.surv_obs[zz, dd]:
+            raise NoDonorsError(f"cell (z={zz}, d={dd}) needs survival imputation "
+                                "but has no observed survival status")
+        if miss_y[zz, dd] and not cells.y_count[zz, dd]:
+            raise NoDonorsError(f"cell (z={zz}, d={dd}, s=1) needs outcome imputation "
+                                "but has no observed outcome")
+    rate = cells.surv_pos / np.maximum(cells.surv_obs, 1)
     for child in np.random.SeedSequence(seed).spawn(m):
         rng = np.random.default_rng(child)
-        alive = [rng.random(cell.s_rows.size) < cell.rate for cell in plan]
-        picks = [rng.integers(0, cell.donors.size, cell.n_miss_y + np.count_nonzero(drawn))
-                 for cell, drawn in zip(plan, alive)]
+        alive = [rng.random(cells.miss_s[cell]) < rate[cell] for cell in CELLS]
+        picks = [rng.integers(0, pool.size, miss_y[cell] + np.count_nonzero(drawn))
+                 for cell, pool, drawn in zip(CELLS, donors, alive)]
         yield list(zip(alive, picks))
 
 

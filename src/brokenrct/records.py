@@ -20,6 +20,9 @@ from .errors import InvalidRecordError, SchemaError, WeakInstrumentWarning
 
 COLUMNS = ("z", "d", "delta_s", "s", "delta_y", "y")
 
+#: The (z, d) cells in ingestion order: a record counts towards cell 2 z + d.
+CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 #: Default threshold on |P(D=1|Z=1) - P(D=1|Z=0)| below which the assignment
 #: is flagged as a weak instrument.
 WEAK_INSTRUMENT_THRESHOLD = 0.02
@@ -96,22 +99,6 @@ class CellStatistics:
     def n_missing_s(self, z: int, d: int) -> int:
         return int(self.miss_s[z, d])
 
-    def survival_rate(self, z: int, d: int) -> float:
-        """Observed-survival proportion in cell (z, d); nan if never observed."""
-        obs = self.surv_obs[z, d]
-        if obs == 0:
-            return float("nan")
-        return float(self.surv_pos[z, d] / obs)
-
-    def y_var(self, z: int, d: int) -> float:
-        """Unbiased sample variance of observed outcomes in (z, d, s=1)."""
-        k = self.y_count[z, d]
-        if k == 0:
-            return float("nan")
-        if k == 1:
-            return 0.0
-        return float(self.y_m2[z, d] / (k - 1))
-
     def arm_count(self, z: int) -> int:
         return int(self.count[z].sum())
 
@@ -141,17 +128,23 @@ def pool_moments(ka, mean_a, m2a, kb, mean_b, m2b):
     return k, mean, m2
 
 
-def outcome_moments(ys: np.ndarray) -> tuple[int, float, float]:
-    """Count, mean and M2 of one cell's outcomes, given in sorted order.
+def outcome_moments(cell_ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count, mean and M2 arrays, indexed ``[z, d]``, of each cell's outcomes.
 
-    Every cell's moments are computed here, so two routes to the same
-    sorted outcomes give bit-identical statistics.  An empty cell gives
+    ``cell_ys`` holds the outcomes of each cell of :data:`CELLS`, in sorted
+    order.  Every cell's moments are computed here, so two routes to the
+    same sorted outcomes give bit-identical statistics.  An empty cell gives
     (0, 0.0, 0.0).
     """
-    if ys.size == 0:
-        return 0, 0.0, 0.0
-    mean = float(ys.mean())
-    return ys.size, mean, float(((ys - mean) ** 2).sum())
+    k = np.zeros(len(CELLS), dtype=np.int64)
+    mean = np.zeros(len(CELLS))
+    m2 = np.zeros(len(CELLS))
+    for i, ys in enumerate(cell_ys):
+        if ys.size:
+            k[i] = ys.size
+            mean[i] = ys.mean()
+            m2[i] = ((ys - mean[i]) ** 2).sum()
+    return k.reshape(2, 2), mean.reshape(2, 2), m2.reshape(2, 2)
 
 
 def ingest(records) -> CellStatistics:
@@ -170,37 +163,35 @@ def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
     """Vectorised ingestion from parallel column arrays (nan = missing).
 
     The columns are taken as valid (see :func:`as_array`); empty input is
-    rejected.
+    rejected.  Each record counts towards cell ``2 z + d`` of :data:`CELLS`,
+    and the outcome moments are those of :func:`cell_outcomes`.
     """
-    z = np.asarray(z, dtype=np.int64)
+    z, d, delta_s, s, delta_y, y = (np.asarray(col, dtype=float)
+                                    for col in (z, d, delta_s, s, delta_y, y))
     if z.size == 0:
         raise ValueError("no records to ingest")
-    d = np.asarray(d, dtype=np.int64)
-    delta_s = np.asarray(delta_s, dtype=np.int64)
-    delta_y = np.asarray(delta_y, dtype=np.int64)
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
+    key = (2 * z + d).astype(np.int64)
+    observed_s = delta_s == 1
 
-    count = np.zeros((2, 2), dtype=np.int64)
-    surv_obs = np.zeros((2, 2), dtype=np.int64)
-    surv_pos = np.zeros((2, 2), dtype=np.int64)
-    miss_s = np.zeros((2, 2), dtype=np.int64)
-    y_count = np.zeros((2, 2), dtype=np.int64)
-    y_mean = np.zeros((2, 2), dtype=float)
-    y_m2 = np.zeros((2, 2), dtype=float)
+    def per_cell(weights=None):
+        return np.bincount(key, weights, minlength=len(CELLS)).astype(np.int64).reshape(2, 2)
 
-    observed_y = (delta_y == 1) & (delta_s == 1) & (s == 1)
-    for zz in (0, 1):
-        for dd in (0, 1):
-            cell = (z == zz) & (d == dd)
-            count[zz, dd] = cell.sum()
-            obs = cell & (delta_s == 1)
-            surv_obs[zz, dd] = obs.sum()
-            surv_pos[zz, dd] = (obs & (s == 1)).sum()
-            miss_s[zz, dd] = (cell & (delta_s == 0)).sum()
-            y_count[zz, dd], y_mean[zz, dd], y_m2[zz, dd] = outcome_moments(
-                np.sort(y[cell & observed_y]))
-    return CellStatistics(count, surv_obs, surv_pos, miss_s, y_count, y_mean, y_m2)
+    count = per_cell()
+    surv_obs = per_cell(observed_s)
+    surv_pos = per_cell(observed_s & (s == 1))
+    return CellStatistics(count, surv_obs, surv_pos, count - surv_obs,
+                          *outcome_moments(cell_outcomes(z, d, delta_s, s, delta_y, y)))
+
+
+def cell_outcomes(z, d, delta_s, s, delta_y, y) -> list[np.ndarray]:
+    """The outcomes of each cell's observed survivors, sorted, in :data:`CELLS` order.
+
+    The columns are valid parallel arrays (nan = missing).  These outcomes
+    are the donors of the within-cell hot deck.
+    """
+    observed = (delta_y == 1) & (delta_s == 1) & (s == 1)
+    key = 2 * z + d
+    return [np.sort(y[observed & (key == k)]) for k in range(len(CELLS))]
 
 
 def as_array(records) -> np.ndarray:
@@ -302,15 +293,14 @@ def validate_design(records,
                 f"below threshold {weak_threshold:g}"
             )
     counts = {}
-    for zz in (0, 1):
-        for dd in (0, 1):
-            counts[(zz, dd)] = {
-                "n": int(cells.count[zz, dd]),
-                "survivors": cells.n(zz, dd, 1),
-                "non_survivors": cells.n(zz, dd, 0),
-                "missing_s": cells.n_missing_s(zz, dd),
-                "observed_y": int(cells.y_count[zz, dd]),
-            }
+    for zz, dd in CELLS:
+        counts[(zz, dd)] = {
+            "n": int(cells.count[zz, dd]),
+            "survivors": cells.n(zz, dd, 1),
+            "non_survivors": cells.n(zz, dd, 0),
+            "missing_s": cells.n_missing_s(zz, dd),
+            "observed_y": int(cells.y_count[zz, dd]),
+        }
     return ValidationReport(
         n_records=cells.n_records,
         arms_present=arms,

@@ -5,11 +5,12 @@ parameters are derived by enumerating the latent strata of the benchmark
 generator, and the employment-study parameters come from the published
 cell table, entered as plain constants.  The row-level comparators are
 the reference for the package's closed forms on cell statistics, the
-row-level record check is the reference for the column-wise one, the hot
-deck that rebuilds its masks per imputation is the reference for the
-per-cell plan, and the hand-written twin formulas (one block per arm, the
-11-parameter order spelled out) are the reference for the one per-arm
-identification.  The one-dataset estimators, written with a loop over the
+row-level record check is the reference for the column-wise one, the
+ingestion with one mask per cell is the reference for the grouped one, the
+hot deck that rebuilds its masks per imputation is the reference for the
+one planned from the cell statistics, and the hand-written twin formulas
+(one block per arm, the 11-parameter order spelled out) are the reference
+for the one per-arm identification.  The one-dataset estimators, written with a loop over the
 cells and Python scalars, are the reference for the stacked estimators,
 and the truth drawn through the whole of ``generate`` is the reference for
 the one drawn from the potential outcomes alone.  The special-case
@@ -23,6 +24,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from brokenrct.errors import (
     AllOutcomesMissingError,
@@ -408,10 +410,79 @@ def validate_record(rec: ObservationRecord, index: int = -1) -> None:
         raise InvalidRecordError(index, "y must be absent unless delta_y = 1 and s = 1")
 
 
+KINDS = ("observed", "missing_y", "dead", "missing_s")
+
+
+@st.composite
+def damaged_datasets(draw, min_rows=0, max_rows=30):
+    """Valid (n, 6) arrays of min_rows to max_rows rows over a random subset
+    of the (z, d) cells.
+
+    Each cell holds its own subset of record kinds, so empty cells, cells
+    with every status or outcome missing and cells with no donor all come
+    up; outcomes come mostly from a short list with both signed zeros, so
+    donor pools hold ties.
+    """
+    cells = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+                          min_size=1, max_size=4, unique=True))
+    kinds = {cell: draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4, unique=True))
+             for cell in cells}
+    outcome = st.one_of(st.sampled_from((-1.5, -0.0, 0.0, 2.0, 3.25)),
+                        st.floats(-1e6, 1e6, allow_nan=False))
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        z, d = draw(st.sampled_from(cells))
+        kind = draw(st.sampled_from(kinds[z, d]))
+        rows.append({"observed": [z, d, 1, 1, 1, draw(outcome)],
+                     "missing_y": [z, d, 1, 1, 0, math.nan],
+                     "dead": [z, d, 1, 0, draw(st.integers(0, 1)), math.nan],
+                     "missing_s": [z, d, 0, math.nan, 0, math.nan]}[kind])
+    return np.asarray(rows, dtype=float).reshape(-1, 6)
+
+
 def validate_rows(arr) -> None:
     """Row-by-row check of an (n, 6) array; raises at the first invalid row."""
     for i, row in enumerate(np.asarray(arr, dtype=float)):
         validate_record(record_from_row(row), i)
+
+
+def cells_from_arrays_reference(z, d, delta_s, s, delta_y, y) -> CellStatistics:
+    """cells_from_arrays with one mask per (z, d) cell and per count, the
+    reference for the grouped ingestion.  Outcome moments are taken over
+    each cell's sorted observed-survivor outcomes.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    if z.size == 0:
+        raise ValueError("no records to ingest")
+    d = np.asarray(d, dtype=np.int64)
+    delta_s = np.asarray(delta_s, dtype=np.int64)
+    delta_y = np.asarray(delta_y, dtype=np.int64)
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    count = np.zeros((2, 2), dtype=np.int64)
+    surv_obs = np.zeros((2, 2), dtype=np.int64)
+    surv_pos = np.zeros((2, 2), dtype=np.int64)
+    miss_s = np.zeros((2, 2), dtype=np.int64)
+    y_count = np.zeros((2, 2), dtype=np.int64)
+    y_mean = np.zeros((2, 2), dtype=float)
+    y_m2 = np.zeros((2, 2), dtype=float)
+
+    observed_y = (delta_y == 1) & (delta_s == 1) & (s == 1)
+    for zz in (0, 1):
+        for dd in (0, 1):
+            cell = (z == zz) & (d == dd)
+            count[zz, dd] = cell.sum()
+            obs = cell & (delta_s == 1)
+            surv_obs[zz, dd] = obs.sum()
+            surv_pos[zz, dd] = (obs & (s == 1)).sum()
+            miss_s[zz, dd] = (cell & (delta_s == 0)).sum()
+            ys = np.sort(y[cell & observed_y])
+            if ys.size:
+                y_count[zz, dd] = ys.size
+                y_mean[zz, dd] = ys.mean()
+                y_m2[zz, dd] = ((ys - y_mean[zz, dd]) ** 2).sum()
+    return CellStatistics(count, surv_obs, surv_pos, miss_s, y_count, y_mean, y_m2)
 
 
 def pace_denominators_twin(params):
@@ -543,7 +614,7 @@ def covariance_diagonal_twin(cells):
                 raise AllOutcomesMissingError(
                     f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome"
                 )
-            var_mean[z, d] = cells.y_var(z, d) / k
+            var_mean[z, d] = (cells.y_m2[z, d] / (k - 1) if k > 1 else 0.0) / k
     return np.array([
         assign_rate * (1 - assign_rate) / n,
         take[1] * (1 - take[1]) / n1,
@@ -557,10 +628,10 @@ def covariance_diagonal_twin(cells):
 
 def impute_within_cells_reference(records, m: int, seed) -> list[np.ndarray]:
     """impute_within_cells with every imputation rebuilding its cell masks
-    over all rows, the reference for the per-cell plan.  Draws are
-    independent across imputations.  A record whose imputed survival is 0
-    keeps an undefined outcome.  Raises when a cell contains a missing value
-    but no observed donor for that variable.
+    over all rows, the reference for the draws planned from the cell
+    statistics.  Draws are independent across imputations.  A record whose
+    imputed survival is 0 keeps an undefined outcome.  Raises when a cell
+    contains a missing value but no observed donor for that variable.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -743,7 +814,7 @@ def fit_cell_params_reference(cells):
                     f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome"
                 )
             mean_y[z, d] = cells.y_mean[z, d]
-            var_mean[z, d] = cells.y_var(z, d) / k
+            var_mean[z, d] = (cells.y_m2[z, d] / (k - 1) if k > 1 else 0.0) / k
 
     params = CellParams(take=take, survival=survival, mean_y=mean_y,
                         assign_rate=assign_rate)

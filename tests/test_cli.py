@@ -117,6 +117,34 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
         assert code == 4
 
+    @pytest.mark.parametrize("no_outcome, no_status, message", [
+        ([(1, 1)], [], "cell (z=1, d=1, s=1) needs outcome imputation but has no observed outcome"),
+        ([], [(0, 1)], "cell (z=0, d=1) needs survival imputation "
+                       "but has no observed survival status"),
+        ([(1, 1)], [(0, 1)], "cell (z=0, d=1) needs survival imputation "
+                             "but has no observed survival status"),
+        ([(0, 0)], [(0, 1)], "cell (z=0, d=0, s=1) needs outcome imputation "
+                             "but has no observed outcome"),
+    ])
+    def test_impute_without_donors_names_the_first_cell(self, capsys, tmp_path,
+                                                         no_outcome, no_status, message):
+        # a cell whose records all miss s has no survivor, so it cannot also
+        # lack an outcome donor: the faults are in different cells, and the
+        # first cell in (z, d) order is reported whichever rule it breaks
+        rows = []
+        for z, d, copies in ((0, 0, 3), (0, 1, 1), (1, 0, 1), (1, 1, 3)):
+            cell = [(z, d, 1, 1, 1, 1.0 + d), (z, d, 1, 1, 1, 2.5), (z, d, 1, 0, 0, np.nan),
+                    (z, d, 1, 1, 0, np.nan), (z, d, 0, np.nan, 0, np.nan)] * copies
+            if (z, d) in no_outcome:
+                cell = [row[:4] + (0, np.nan) for row in cell]
+            if (z, d) in no_status:
+                cell = [(z, d, 0, np.nan, 0, np.nan)] * len(cell)
+            rows += cell
+        path = tmp_path / "donorless.csv"
+        write_csv(path, np.asarray(rows, dtype=float))
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(path), "--impute", "3"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_impute_deterministic_output(self, capsys, tmp_path):
         arr, _ = generate(DgpConfig(n=2000, case=1), seed=82)
         damaged = delete_outcomes_mcar(arr, 0.2, seed=9)

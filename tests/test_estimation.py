@@ -69,7 +69,7 @@ class TestFit:
         s11 = params.survival[1, 1]
         assert n * r * t1 == pytest.approx(cells.surv_obs[1, 1], rel=1e-12)
         assert cov.diagonal[7] == pytest.approx(
-            cells.y_var(1, 1) / cells.y_count[1, 1], rel=1e-12)
+            cells.y_m2[1, 1] / (cells.y_count[1, 1] - 1) / cells.y_count[1, 1], rel=1e-12)
         assert s11 == pytest.approx(cells.surv_pos[1, 1] / cells.surv_obs[1, 1])
 
     def test_empty_arm_raises(self):

@@ -20,6 +20,7 @@ from brokenrct.records import cells_from_arrays, ingest, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
 from helpers import (
+    damaged_datasets,
     dataset_estimates,
     delete_outcomes_mcar,
     delete_survival_mcar,
@@ -74,7 +75,7 @@ class TestImputer:
         cells = ingest(arr)
         z, d = arr[:, 0].astype(int), arr[:, 1].astype(int)
         for zz, dd in ((1, 1), (0, 0)):
-            rate = cells.survival_rate(zz, dd)
+            rate = cells.surv_pos[zz, dd] / cells.surv_obs[zz, dd]
             idx = was_missing & (z == zz) & (d == dd)
             draws = np.concatenate([c[idx, 3] for c in completed])
             se = math.sqrt(rate * (1 - rate) / draws.size)
@@ -114,34 +115,6 @@ class TestImputer:
         completed = impute_within_cells(damaged, m=10, seed=11)
         pooled = pool_estimates([analyse(c) for c in completed])
         assert abs(pooled.tau - complete_tau) < 2 * pooled.se
-
-
-KINDS = ("observed", "missing_y", "dead", "missing_s")
-
-
-@st.composite
-def damaged_datasets(draw):
-    """Valid (n, 6) arrays of 0-30 rows over a random subset of the (z, d) cells.
-
-    Each cell holds its own subset of record kinds, so empty cells, cells
-    with every status or outcome missing and cells with no donor all come
-    up; outcomes come mostly from a short list, so donor pools hold ties.
-    """
-    cells = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
-                          min_size=1, max_size=4, unique=True))
-    kinds = {cell: draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4, unique=True))
-             for cell in cells}
-    outcome = st.one_of(st.sampled_from((-1.5, 0.0, 2.0, 3.25)),
-                        st.floats(-1e6, 1e6, allow_nan=False))
-    rows = []
-    for _ in range(draw(st.integers(0, 30))):
-        z, d = draw(st.sampled_from(cells))
-        kind = draw(st.sampled_from(kinds[z, d]))
-        rows.append({"observed": [z, d, 1, 1, 1, draw(outcome)],
-                     "missing_y": [z, d, 1, 1, 0, math.nan],
-                     "dead": [z, d, 1, 0, draw(st.integers(0, 1)), math.nan],
-                     "missing_s": [z, d, 0, math.nan, 0, math.nan]}[kind])
-    return np.asarray(rows, dtype=float).reshape(-1, 6)
 
 
 def imputation_outcome(impute, arr, m, seed):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from brokenrct.records import (
 )
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import case1_params_oracle, records_from_array, validate_rows
+from helpers import (
+    case1_params_oracle,
+    cells_from_arrays_reference,
+    damaged_datasets,
+    records_from_array,
+    validate_rows,
+)
 
 
 def rec(z, d, delta_s, s, delta_y, y):
@@ -64,7 +71,8 @@ def test_fully_missing_survival_is_ingestible_but_not_estimable():
     cells = ingest(records * 3)
     assert cells.n_records == 12
     assert cells.n_missing_s(1, 1) == 3
-    assert np.isnan(cells.survival_rate(1, 1))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(cells.surv_pos[1, 1] / cells.surv_obs[1, 1])
     with pytest.raises(Exception):
         fit_cell_params(cells)
 
@@ -75,7 +83,7 @@ def test_case1_cell_means_match_stratum_enumeration():
     oracle = case1_params_oracle()
     n11 = cells.surv_obs[1, 1]
     se = np.sqrt(oracle.survival[1, 1] * (1 - oracle.survival[1, 1]) / n11)
-    assert abs(cells.survival_rate(1, 1) - oracle.survival[1, 1]) < 3 * se
+    assert abs(cells.surv_pos[1, 1] / n11 - oracle.survival[1, 1]) < 3 * se
 
 
 def test_ingest_is_permutation_invariant_bitwise():
@@ -189,7 +197,7 @@ def test_complete_case_means_respect_flags():
         rec(1, 1, 1, 0, 1, None),   # non-survivor: no outcome by definition
     ]
     cells = ingest(records)
-    assert cells.survival_rate(1, 1) == pytest.approx(2 / 3)
+    assert cells.surv_pos[1, 1] / cells.surv_obs[1, 1] == pytest.approx(2 / 3)
     assert cells.y_count[1, 1] == 1
     assert cells.y_mean[1, 1] == 4.0
     assert cells.n_missing_s(1, 1) == 1
@@ -410,3 +418,16 @@ def test_cells_from_arrays_matches_ingest():
     b = cells_from_arrays(*(arr[:, i] for i in range(6)))
     assert np.array_equal(a.count, b.count)
     assert np.array_equal(a.y_mean, b.y_mean)
+
+
+def cell_fields(ingest_columns, arr):
+    """Every field's name, dtype, shape and bytes."""
+    cells = ingest_columns(*arr.T)
+    return [(f.name, getattr(cells, f.name).dtype, getattr(cells, f.name).shape,
+             getattr(cells, f.name).tobytes()) for f in fields(cells)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(arr=damaged_datasets(min_rows=1, max_rows=40))
+def test_cells_from_arrays_matches_reference(arr):
+    assert cell_fields(cells_from_arrays, arr) == cell_fields(cells_from_arrays_reference, arr)
