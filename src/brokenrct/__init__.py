@@ -31,7 +31,6 @@ from .estimation import (
     PaceEstimate,
     estimate_pace,
     fit_cell_params,
-    gradient_mu,
     normal_cdf,
     normal_quantile,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "estimate_pace",
     "fit_cell_params",
     "generate",
-    "gradient_mu",
     "impute_within_cells",
     "ingest",
     "itt_at_pp",

@@ -20,12 +20,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .comparators import METHODS, check_scale, estimate
+from .comparators import METHODS, check_scale
 from .errors import BrokenRctError, EstimationError, SchemaError
-from .estimation import SCALES, estimate_pace, fit_cell_params
-from .identify import complier_survival, strata_proportions
-from .imputation import _completed_cells, pool_estimates, read_completed_dir
-from .records import cells_from_arrays, read_csv, validate_design
+from .estimation import SCALES
+from .estimators import analyze_dataset
+from .imputation import read_completed_dir
+from .records import WEAK_INSTRUMENT_THRESHOLD, cells_from_arrays, read_csv, validate_design
 from .simulate import DgpConfig, run_study
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--completed-dir", metavar="DIR",
                          help="directory of externally completed CSV datasets to pool")
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--weak-threshold", type=float, default=0.02)
+    analyze.add_argument("--weak-threshold", type=float, default=WEAK_INSTRUMENT_THRESHOLD)
     analyze.add_argument("--format", choices=("text", "csv", "json"), default="text")
     analyze.add_argument("--output", help="write the report here instead of stdout")
     analyze.set_defaults(func=cmd_analyze)
@@ -116,35 +116,21 @@ def cmd_analyze(args) -> int:
             print(f"validation failure: {failure}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    caught: list[str] = []
-    datasets = None
+    completed = None
     mode = "complete-case"
     if args.impute is not None:
-        datasets = _completed_cells(arr, cells, args.impute, args.seed)
         mode = f"impute m={args.impute} seed={args.seed}"
     elif args.completed_dir is not None:
-        datasets = [cells_from_arrays(*dataset.T)
-                    for dataset in read_completed_dir(args.completed_dir)]
-        mode = f"completed-dir m={len(datasets)}"
+        completed = [cells_from_arrays(*done.T) for done in read_completed_dir(args.completed_dir)]
+        mode = f"completed-dir m={len(completed)}"
 
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        params, cov = fit_cell_params(cells)
-        strata = strata_proportions(params)
-        survival = complier_survival(params)
-        results = {}
-        for method in methods:
-            if datasets is None and method == "pace":
-                est = estimate_pace(params, cov, args.level, cells.n_records, args.scale)
-            elif datasets is None:
-                est = estimate(cells, method, args.level, args.scale)
-            else:
-                est = pool_estimates([estimate(dataset, method, args.level, args.scale)
-                                      for dataset in datasets], level=args.level)
-            results[method] = {"estimate": est.tau, "se": est.se, "ci_lower": est.ci_lower,
-                               "ci_upper": est.ci_upper, "p_value": est.p_value}
-    caught.extend(report.warnings)
-    caught.extend(str(w.message) for w in captured)
+        _, _, strata, survival, estimates = analyze_dataset(
+            arr, cells, methods, args.level, args.scale, args.impute, args.seed, completed)
+    results = {method: dict(zip(ESTIMATE_COLUMNS, (est.tau, est.se, *est.ci, est.p_value)))
+               for method, est in estimates.items()}
+    caught = report.warnings + [str(w.message) for w in captured]
 
     payload = {
         "version": __version__,
@@ -154,11 +140,9 @@ def cmd_analyze(args) -> int:
         "scale": args.scale,
         "level": args.level,
         "first_stage": report.first_stage,
-        "strata_proportions": {"always_takers": strata.p_a,
-                               "compliers": strata.p_c,
+        "strata_proportions": {"always_takers": strata.p_a, "compliers": strata.p_c,
                                "never_takers": strata.p_n},
-        "complier_survival": {"treated": survival.s1_given_c,
-                              "control": survival.s0_given_c,
+        "complier_survival": {"treated": survival.s1_given_c, "control": survival.s0_given_c,
                               "effect": survival.effect},
         "estimates": results,
         "warnings": caught,
@@ -268,21 +252,16 @@ def cmd_effect_series(args) -> int:
     for period, path in enumerate(args.inputs, start=1):
         row = {"period": period, "input": path}
         try:
-            cells = cells_from_arrays(*read_csv(path).T)
+            arr = read_csv(path)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                params, cov = fit_cell_params(cells)
-                survival = complier_survival(params)
-                est = estimate_pace(params, cov, level=args.level, n=cells.n_records)
-            row.update(
-                n=cells.n_records,
-                s1_complier=survival.s1_given_c,
-                s0_complier=survival.s0_given_c,
-                survival_effect=survival.effect,
-                tau=est.tau, se=est.se,
-                ci_lower=est.ci_lower, ci_upper=est.ci_upper,
-                status="ok",
-            )
+                _, _, _, survival, estimates = analyze_dataset(
+                    arr, cells_from_arrays(*arr.T), level=args.level)
+            est = estimates["pace"]
+            row.update(n=est.n, s1_complier=survival.s1_given_c,
+                       s0_complier=survival.s0_given_c, survival_effect=survival.effect,
+                       tau=est.tau, se=est.se, ci_lower=est.ci_lower, ci_upper=est.ci_upper,
+                       status="ok")
         except (BrokenRctError, OSError) as exc:
             row["status"] = f"error: {exc}"
         writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -153,21 +153,6 @@ def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     return params, CellCovariance(diagonal=variance.pack())
 
 
-def gradient_mu(params: CellParams, arm: int) -> np.ndarray:
-    """Analytic gradient of the arm's survived-complier mean, packed.
-
-    For d = ``arm``, mu = (A1*m1 - A0*m0) / (A1 - A0) with Az = weight[z, d] *
-    survival[z, d] and mz = mean_y[z, d] (:func:`~brokenrct.identify.identify_arms`).
-    With sign +1 for z = 1 and -1 for z = 0: d mu/d mz = sign * Az / den,
-    d mu/d survival[z, d] = sign * weight[z, d] * (mz - mu) / den, and d mu/d
-    take[z] is that with survival[z, d] for weight[z, d], negated for d = 0.
-    The assignment rate and the other arm's cells have zero components.
-    """
-    if arm not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
-    return _gradient(params, *identify_arms(params, warn=False))[..., arm, :]
-
-
 #: by [z, d]: a term's arm d, the sign of its survival and mean terms (+1 for
 #: z = 1, -1 for z = 0) and of its uptake term (negated for d = 0)
 _ARM = np.array([[0, 1], [0, 1]])
@@ -176,7 +161,15 @@ _TAKE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _gradient(params: CellParams, weight, mass, den, mu) -> np.ndarray:
-    """Both arms' packed gradients, ``[..., d, :]`` for arm d."""
+    """Both arms' packed gradients, ``[..., d, :]`` for arm d.
+
+    For arm d, mu = (A1*m1 - A0*m0) / (A1 - A0) with Az = weight[z, d] *
+    survival[z, d] and mz = mean_y[z, d] (:func:`~brokenrct.identify.identify_arms`).
+    With sign +1 for z = 1 and -1 for z = 0: d mu/d mz = sign * Az / den,
+    d mu/d survival[z, d] = sign * weight[z, d] * (mz - mu) / den, and d mu/d
+    take[z] is that with survival[z, d] for weight[z, d], negated for d = 0.
+    The assignment rate and the other arm's cells have zero components.
+    """
     grad = np.zeros(np.shape(den) + (11,))
     resid = params.mean_y - mu[..., None, :]
     den = den[..., None, :]

@@ -17,6 +17,30 @@ from .records import as_array, cells_from_arrays, validate_design, warn_if_weak
 from .simulate import _is_int
 
 
+def analyze_dataset(arr, cells, methods=("pace",), level: float = 0.95, scale: str = "identity",
+                    impute: int | None = None, seed=0, completed=None):
+    """The analysis of ``arr``, a validated (n, 6) array, with cell statistics ``cells``:
+    draw ``impute`` = m hot-deck imputations from ``seed`` when asked (``completed``
+    holds cells completed elsewhere), fit the complete-case cells once, take the strata
+    proportions and then complier survival, and estimate each method on the cells or
+    pooled over the completed cells.  Returns (params, cov, strata, survival, estimates).
+    """
+    if impute is not None:
+        completed = imputation._completed_cells(arr, cells, impute, seed)
+    params, cov = fit_cell_params(cells)
+    strata, survival = identify.strata_proportions(params), identify.complier_survival(params)
+    estimates = {}
+    for method in methods:
+        if completed is not None:
+            estimates[method] = imputation.pool_estimates(
+                [comparators.estimate(done, method, level, scale) for done in completed], level)
+        elif method == "pace":
+            estimates[method] = estimate_pace(params, cov, level, cells.n_records, scale)
+        else:
+            estimates[method] = comparators.estimate(cells, method, level, scale)
+    return params, cov, strata, survival, estimates
+
+
 class BaseReportingEstimator:
     """get_params/set_params following the scikit-learn contract.
 
@@ -86,10 +110,10 @@ class PaceEstimator(BaseReportingEstimator):
         rejects any other value with ``ValueError`` before doing any work.
     seed : generator seed for imputation draws.
 
-    ``fit`` warns when the first-stage difference is below the validation
-    threshold.  It sets ``estimate_`` (the complete-case ``PaceEstimate``),
-    ``pooled_`` (the ``PooledEstimate`` with ``impute``, else None) and
-    ``result_``, the one of the two that the accessors report.
+    ``fit`` warns of a weak first stage, then runs :func:`analyze_dataset`,
+    the route of ``brokenrct analyze``.  It sets ``estimate_`` (the complete-case
+    ``PaceEstimate``), ``pooled_`` (the ``PooledEstimate`` with ``impute``,
+    else None) and ``result_``, the one of the two that the accessors report.
     """
 
     def __init__(self, level: float = 0.95, scale: str = "identity",
@@ -106,18 +130,14 @@ class PaceEstimator(BaseReportingEstimator):
         self.cells_ = cells_from_arrays(*arr.T)
         self.validation_ = validate_design(self.cells_)
         warn_if_weak(self.validation_)
-        self.params_, self.covariance_ = fit_cell_params(self.cells_)
-        self.estimate_ = estimate_pace(self.params_, self.covariance_, level=self.level,
-                                       n=self.cells_.n_records, scale=self.scale)
-        self.strata_proportions_ = identify.strata_proportions(self.params_)
-        self.complier_survival_ = identify.complier_survival(self.params_)
-        self.pooled_ = None
+        (self.params_, self.covariance_, self.strata_proportions_, self.complier_survival_,
+         estimates) = analyze_dataset(arr, self.cells_, ("pace",), self.level, self.scale,
+                                      self.impute, self.seed)
+        self.result_ = self.estimate_ = estimates["pace"]
+        self.pooled_ = None if self.impute is None else self.result_
         if self.impute is not None:
-            datasets = imputation._completed_cells(arr, self.cells_, self.impute, self.seed)
-            self.pooled_ = imputation.pool_estimates(
-                [comparators.estimate(cells, "pace", self.level, self.scale)
-                 for cells in datasets], level=self.level)
-        self.result_ = self.pooled_ or self.estimate_
+            self.estimate_ = estimate_pace(self.params_, self.covariance_, self.level,
+                                           self.cells_.n_records, self.scale)
         return self
 
 

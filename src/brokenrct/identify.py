@@ -117,13 +117,15 @@ def complier_survival(params: CellParams) -> ComplierSurvival:
 
     Treated survivors in arm 1 mix always-takers and compliers, while arm 0's
     treated cell is always-takers alone; symmetrically for the untreated
-    cells.  Values outside [0, 1] are warned about and propagated unclipped
-    (they signal assumption violations or sampling noise).
+    cells.  So the compliers' survival mass under each treatment is that
+    treatment's mixing denominator of :func:`survivor_masses`, negated for
+    the untreated, over the complier share.  Values outside [0, 1] are warned
+    about and propagated unclipped (they signal assumption violations or
+    sampling noise).
     """
-    p = strata_proportions(params)
-    surv = params.survival
-    s1c = ((p.p_c + p.p_a) * surv[1, 1] - p.p_a * surv[0, 1]) / p.p_c
-    s0c = ((p.p_c + p.p_n) * surv[0, 0] - p.p_n * surv[1, 0]) / p.p_c
+    p_c = strata_proportions(params).p_c
+    den = survivor_masses(params)[2]
+    s1c, s0c = den[1] / p_c, -den[0] / p_c
     for name, value in (("treated", s1c), ("untreated", s0c)):
         if not 0.0 <= value <= 1.0:
             warnings.warn(

@@ -24,9 +24,9 @@ from .estimation import normal_interval
 from .records import (
     CELLS,
     CellStatistics,
+    _cells_and_donors,
     as_array,
     cell_outcomes,
-    cells_from_arrays,
     outcome_moments,
     read_csv,
 )
@@ -75,14 +75,14 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     arr = as_array(records)
     if not len(arr):  # nothing to draw, and cells_from_arrays rejects empty input
         return [arr.copy() for _ in range(m)]
-    donors = cell_outcomes(*arr.T)
+    cells, donors = _cells_and_donors(*arr.T)
     z, d, delta_s, s, delta_y, _ = arr.T
     may_need_y = (delta_s == 0) | ((s == 1) & (delta_y == 0))
     cell_rows = [(z == zz) & (d == dd) for zz, dd in CELLS]
     s_rows = [np.flatnonzero(rows & (delta_s == 0)) for rows in cell_rows]
     y_rows = [np.flatnonzero(rows & may_need_y) for rows in cell_rows]
     completed = []
-    for draws in _draws(cells_from_arrays(*arr.T), donors, m, seed):
+    for draws in _draws(cells, donors, m, seed):
         out = arr.copy()
         out[:, 2] = 1.0
         for s_at, y_at, pool, (alive, picks) in zip(s_rows, y_rows, donors, draws):

@@ -166,6 +166,11 @@ def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
     rejected.  Each record counts towards cell ``2 z + d`` of :data:`CELLS`,
     and the outcome moments are those of :func:`cell_outcomes`.
     """
+    return _cells_and_donors(z, d, delta_s, s, delta_y, y)[0]
+
+
+def _cells_and_donors(z, d, delta_s, s, delta_y, y) -> tuple[CellStatistics, list[np.ndarray]]:
+    """:func:`cells_from_arrays` and the hot-deck donors, the :func:`cell_outcomes` it sorts."""
     z, d, delta_s, s, delta_y, y = (np.asarray(col, dtype=float)
                                     for col in (z, d, delta_s, s, delta_y, y))
     if z.size == 0:
@@ -179,8 +184,9 @@ def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
     count = per_cell()
     surv_obs = per_cell(observed_s)
     surv_pos = per_cell(observed_s & (s == 1))
+    donors = cell_outcomes(z, d, delta_s, s, delta_y, y)
     return CellStatistics(count, surv_obs, surv_pos, count - surv_obs,
-                          *outcome_moments(cell_outcomes(z, d, delta_s, s, delta_y, y)))
+                          *outcome_moments(donors)), donors
 
 
 def cell_outcomes(z, d, delta_s, s, delta_y, y) -> list[np.ndarray]:

@@ -41,6 +41,7 @@ from brokenrct.estimation import (
     CellCovariance,
     Estimate,
     PaceEstimate,
+    _gradient,
     logit,
     normal_interval,
 )
@@ -51,6 +52,7 @@ from brokenrct.identify import (
     SURVIVAL_AT,
     TAKE_AT,
     CellParams,
+    identify_arms,
     survivor_masses,
 )
 from brokenrct.records import CellStatistics, ObservationRecord, as_array, ingest, pool_moments
@@ -515,6 +517,14 @@ def pace_identify_twin(params, warn_tolerance=DENOMINATOR_WARN_TOLERANCE):
     mu1 = (take1 * surv[1, 1] * mean[1, 1] - take0 * surv[0, 1] * mean[0, 1]) / den1
     mu0 = ((1 - take1) * surv[1, 0] * mean[1, 0] - (1 - take0) * surv[0, 0] * mean[0, 0]) / den0
     return float(mu1), float(mu0), float(mu1 - mu0)
+
+
+def gradient_mu(params, arm):
+    """The arm's packed gradient, ``[..., arm, :]`` of the estimator's ``_gradient``,
+    which the criterion-4 tests hold to central finite differences."""
+    if arm not in (0, 1):
+        raise ValueError("arm must be 0 or 1")
+    return _gradient(params, *identify_arms(params, warn=False))[..., arm, :]
 
 
 def gradient_mu_twin(params, arm):

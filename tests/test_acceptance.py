@@ -27,11 +27,7 @@ import numpy as np
 import pytest
 
 from brokenrct.cli import main
-from brokenrct.estimation import (
-    estimate_pace,
-    fit_cell_params,
-    gradient_mu,
-)
+from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.identify import CellParams, pace_denominators, pace_identify, strata_proportions
 from brokenrct.imputation import pool_estimates
 from brokenrct.records import cells_from_arrays, ingest, write_csv
@@ -40,6 +36,7 @@ from brokenrct.simulate import DgpConfig, _run_chunk, generate, run_study
 from helpers import (
     dataset_estimates,
     delete_outcomes_mcar,
+    gradient_mu,
     no_missing_reduction,
     population_params,
     population_stratum_table,

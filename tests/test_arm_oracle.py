@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenrct.errors import DenominatorDegenerateError, WeakDenominatorWarning
-from brokenrct.estimation import CellCovariance, estimate_pace, fit_cell_params, gradient_mu
+from brokenrct.estimation import CellCovariance, estimate_pace, fit_cell_params
 from brokenrct.identify import CellParams, pace_denominators, pace_identify
 from brokenrct.records import cells_from_arrays
 
@@ -26,6 +26,7 @@ from helpers import (
     cl_proportion_under_monotonicity,
     covariance_diagonal_twin,
     estimate_pace_twin,
+    gradient_mu,
     gradient_mu_twin,
     outcome,
     pace_denominators_twin,

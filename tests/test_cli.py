@@ -1,11 +1,14 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from brokenrct import cli, comparators
+from brokenrct import comparators, estimators, imputation
 from brokenrct.cli import load_study_config, main
+from brokenrct.errors import NoDonorsError
 from brokenrct.estimators import PaceEstimator
 from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
@@ -103,8 +106,8 @@ class TestAnalyze:
             calls.append(args[2:])
             return impute(*args, **kwargs)
 
-        impute = cli._completed_cells
-        monkeypatch.setattr(cli, "_completed_cells", counted)
+        impute = imputation._completed_cells
+        monkeypatch.setattr(imputation, "_completed_cells", counted)
         argv = ["analyze", "--input", str(path), "--method", "tsls", "--impute", "20"]
         code, out, err = run_cli(capsys, argv + ["--scale", "logit"])
         assert (code, out) == (4, "")
@@ -144,6 +147,22 @@ class TestAnalyze:
         write_csv(path, np.asarray(rows, dtype=float))
         code, out, err = run_cli(capsys, ["analyze", "--input", str(path), "--impute", "3"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("lacking", ["y", "s"])
+    def test_pace_estimator_fails_as_analyze_without_donors(self, capsys, tmp_path, lacking):
+        arr, _ = generate(DgpConfig(n=2000, case=2), seed=85)
+        arr = delete_outcomes_mcar(arr, 0.2, seed=12)
+        if lacking == "y":    # the survivors of cell (1, 1) all lack y
+            arr[(arr[:, 0] == 1) & (arr[:, 1] == 1) & (arr[:, 3] == 1), 4:] = [0, np.nan]
+        else:                 # every record of cell (0, 1) misses s
+            arr[(arr[:, 0] == 0) & (arr[:, 1] == 1), 2:] = [0, np.nan, 0, np.nan]
+        path = tmp_path / "donorless.csv"
+        write_csv(path, arr)
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(path), "--impute", "3"])
+        assert (code, out) == (2, "")
+        with pytest.raises(NoDonorsError) as raised:
+            PaceEstimator(impute=3).fit(read_csv(path))
+        assert err == f"error: {raised.value}\n"
 
     def test_impute_deterministic_output(self, capsys, tmp_path):
         arr, _ = generate(DgpConfig(n=2000, case=1), seed=82)
@@ -253,8 +272,8 @@ class TestAnalyze:
             calls.append(cells)
             return fit(cells)
 
-        fit = cli.fit_cell_params
-        monkeypatch.setattr(cli, "fit_cell_params", counted)
+        fit = estimators.fit_cell_params
+        monkeypatch.setattr(estimators, "fit_cell_params", counted)
         monkeypatch.setattr(comparators, "fit_cell_params", counted)
         code, _, _ = run_cli(capsys, ["analyze", "--input", str(study_csv), "--method", "pace"])
         assert code == 0 and len(calls) == 1
@@ -418,6 +437,31 @@ class TestEffectSeries:
         assert lines[1] == (f'1,{bad},,,,,,,,,"error: cell (z=0, d=0, s=1) has survivors '
                             'but no observed outcome"')
         assert lines[2].split(",")[-1] == "ok"
+
+    def test_agrees_with_analyze(self, capsys, tmp_path):
+        arr, _ = generate(DgpConfig(n=2000, case=2), seed=86)
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_csv(good, delete_outcomes_mcar(arr, 0.2, seed=13))
+        arr[(arr[:, 0] == 0) & (arr[:, 1] == 0) & (arr[:, 3] == 1), 4:] = [0, np.nan]
+        write_csv(bad, arr)   # the survivors of cell (0, 0) all lack y
+        code, out, _ = run_cli(capsys, ["effect-series", str(good), str(bad), "--level", "0.9"])
+        assert code == 0
+        series = list(csv.DictReader(io.StringIO(out)))
+        code, out, _ = run_cli(capsys, ["analyze", "--input", str(good), "--level", "0.9",
+                                        "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        pace, survival = payload["estimates"]["pace"], payload["complier_survival"]
+        assert {column: float(series[0][column]) for column in (
+            "tau", "se", "ci_lower", "ci_upper", "s1_complier", "s0_complier",
+            "survival_effect")} == {
+            "tau": pace["estimate"], "se": pace["se"], "ci_lower": pace["ci_lower"],
+            "ci_upper": pace["ci_upper"], "s1_complier": survival["treated"],
+            "s0_complier": survival["control"], "survival_effect": survival["effect"]}
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(bad)])
+        assert (code, out) == (3, "")
+        assert err.startswith("estimation error: ")
+        assert series[1]["status"] == "error: " + err[len("estimation error: "):-1]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

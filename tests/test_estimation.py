@@ -12,7 +12,6 @@ from brokenrct.estimation import (
     CellCovariance,
     estimate_pace,
     fit_cell_params,
-    gradient_mu,
     normal_cdf,
     normal_quantile,
     two_sided_p,
@@ -21,7 +20,7 @@ from brokenrct.identify import CellParams, pace_identify
 from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import study_params, wald_reduction
+from helpers import gradient_mu, study_params, wald_reduction
 
 
 def rows_to_cells(rows):

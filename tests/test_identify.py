@@ -100,9 +100,8 @@ class TestComplierSurvival:
 @given(take=st.lists(st.floats(0, 1), min_size=2, max_size=2),
        survival=st.lists(st.floats(0, 1), min_size=4, max_size=4))
 def test_complier_survival_is_a_denominator_over_compliers(take, survival):
-    """The strata form of complier survival and the mixing denominators of
-    survivor_masses agree to rounding, not bitwise: p_c + p_a re-adds take[1]
-    and p_c + p_n re-adds 1 - take[0], and either sum may be one ulp off."""
+    """Complier survival is each mixing denominator of survivor_masses over
+    the complier share, bit for bit."""
     take0, take1 = sorted(take)
     assume(take1 - take0 >= 0.01)
     params = CellParams(take=np.array([take0, take1]),
@@ -111,8 +110,8 @@ def test_complier_survival_is_a_denominator_over_compliers(take, survival):
         warnings.simplefilter("ignore", IdentificationWarning)
         cs = complier_survival(params)
     den, p_c = survivor_masses(params)[2], take1 - take0
-    assert cs.s1_given_c == pytest.approx(den[1] / p_c, rel=0, abs=1e-13)
-    assert cs.s0_given_c == pytest.approx(-den[0] / p_c, rel=0, abs=1e-13)
+    assert cs.s1_given_c == den[1] / p_c
+    assert cs.s0_given_c == -den[0] / p_c
 
 
 class TestPaceIdentify:
