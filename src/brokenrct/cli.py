@@ -253,10 +253,13 @@ def cmd_effect_series(args) -> int:
         row = {"period": period, "input": path}
         try:
             arr = read_csv(path)
+            cells = cells_from_arrays(*arr.T)
+            failures = validate_design(cells).failures
+            if failures:
+                raise BrokenRctError("validation failure: " + "; ".join(failures))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                _, _, _, survival, estimates = analyze_dataset(
-                    arr, cells_from_arrays(*arr.T), level=args.level)
+                _, _, _, survival, estimates = analyze_dataset(arr, cells, level=args.level)
             est = estimates["pace"]
             row.update(n=est.n, s1_complier=survival.s1_given_c,
                        s0_complier=survival.s0_given_c, survival_effect=survival.effect,

@@ -11,6 +11,7 @@ counts and complete-case means/variances per (z, d) cell.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -330,10 +331,12 @@ def read_csv(path) -> np.ndarray:
     """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing).
 
     The file is UTF-8, with or without a byte order mark.  An LF-terminated,
-    unquoted file is parsed in bulk, every other file line by line, with
-    the same results and errors.  Errors name the first
-    offending line: an invalid record on an earlier line is reported before
-    a parse error on a later one.
+    unquoted file with no blank line is parsed in bulk by numpy's C reader,
+    every other file line by line, with the same results and errors.  A
+    field that the C reader does not parse (``1_0`` and non-ASCII digits,
+    which ``float()`` reads, or a ``#``) also sends the file line by line.
+    Errors name the first offending line: an invalid record on an earlier
+    line is reported before a parse error on a later one.
     """
     arr = _read_plain_csv(path)
     if arr is None:
@@ -345,26 +348,34 @@ def _read_plain_csv(path) -> np.ndarray | None:
     """The unchecked (n, 6) array of a plain file, or None for any other file.
 
     Plain: no CR, the exact header, then at least one line of six fields,
-    each line ending in LF, and a number in every field but a blank s or y.
+    each line ending in LF, no blank line, and in every field but a blank s
+    or y a number that ``np.loadtxt`` parses.  It parses none of ``1_0``,
+    non-ASCII digits and a ``#`` (comments are off), so those files return
+    None and the line parser reads or reports them.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         return None
-    # a blank line or a 5-field line next to a 7-field one fails the count
-    lines = text.split("\n")
-    if (lines[0] != ",".join(COLUMNS) or lines.pop() != "" or len(lines) < 2
-            or "\r" in text or any(line.count(",") != 5 for line in lines)):
+    header = ",".join(COLUMNS) + "\n"
+    n_lines = text.count("\n")
+    # loadtxt skips a blank line, but a blank line keeps this total only next
+    # to a line of more than six fields, which loadtxt or the shape rejects
+    if (not text.startswith(header) or not text.endswith("\n") or n_lines < 2
+            or "\r" in text or text.count(",") != 5 * n_lines):
         return None
-    # float() rejects a quote, a padded blank and any other non-number
-    fields = text.replace("\n", ",").split(",")[len(COLUMNS):-1]
+    # loadtxt rejects a quote, a whitespace-only field, a blank that the fill
+    # leaves (a leading one, or two in a row) and any other non-number
+    body = text[len(header):].replace(",,", ",nan,").replace(",\n", ",nan\n")
     try:
-        arr = np.array([f or "nan" for f in fields], dtype=float).reshape(-1, len(COLUMNS))
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
     # a blank or nan z, d, delta_s or delta_y is left to the line-by-line parser
-    return None if np.isnan(arr[:, [0, 1, 2, 4]]).any() else arr
+    if arr.shape[1] != len(COLUMNS) or np.isnan(arr[:, [0, 1, 2, 4]]).any():
+        return None
+    return arr
 
 
 def _read_csv_lines(path) -> np.ndarray:

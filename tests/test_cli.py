@@ -438,6 +438,22 @@ class TestEffectSeries:
                             'but no observed outcome"')
         assert lines[2].split(",")[-1] == "ok"
 
+    def test_single_arm_period_fails_validation(self, capsys, tmp_path):
+        good = tmp_path / "good.csv"
+        write_csv(good, build_study_dataset(year=3))
+        one_arm = tmp_path / "onearm.csv"
+        write_csv(one_arm, np.asarray([(1, d, 1, 1, 1, 1.0) for d in (0, 1)] * 5, dtype=float))
+        code, out, _ = run_cli(capsys, ["effect-series", str(one_arm), str(good)])
+        assert code == 0
+        series = list(csv.DictReader(io.StringIO(out)))
+        code, _, err = run_cli(capsys, ["analyze", "--input", str(one_arm)])
+        assert code == 2
+        # the period reports the failure in analyze's words and estimates nothing
+        assert series[0]["status"] == "error: " + err.strip()
+        assert series[0]["status"] == "error: validation failure: single assignment arm"
+        assert all(series[0][column] == "" for column in ("n", "tau", "se", "survival_effect"))
+        assert series[1]["status"] == "ok"
+
     def test_agrees_with_analyze(self, capsys, tmp_path):
         arr, _ = generate(DgpConfig(n=2000, case=2), seed=86)
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"

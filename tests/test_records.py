@@ -280,6 +280,8 @@ def plain_lines(arr):
 VALUE_EDITS = (
     lambda f: f" {f} ", lambda f: f"\t{f}", lambda f: " ", lambda f: "", lambda f: "nan",
     lambda f: "NaN", lambda f: "oops", lambda f: "1_0", lambda f: "\u0661", lambda f: "\x1c1",
+    lambda f: "inf", lambda f: "-Infinity", lambda f: "1e5", lambda f: "+1", lambda f: ".5",
+    lambda f: "0x10", lambda f: f[:1] + "#" + f[1:],
 )
 LAYOUT_EDITS = (lambda f: f'"{f}"', lambda f: f'"{f}', lambda f: f + ",",
                 lambda f: f + "\r", lambda f: "\r" + f)
@@ -296,11 +298,11 @@ def csv_texts(draw):
 
     The data lines render a :func:`corrupted_arrays` draw, uncorrupted half
     the time, or rarely no rows.  Up to three fields are edited: padded,
-    blank, literal nan, non-numeric or unusual numerals.  The fault is one
-    of: a quote, comma or CR in a field; an added blank, whitespace-only,
-    5-field or 7-field line; a 5-field line followed by a 7-field one;
-    another header; CRLF or lone-CR line ends; one odd line end; no final
-    newline.
+    blank, literal nan or infinity, non-numeric, unusual numerals or cut by
+    a ``#``.  The fault is one of: a quote, comma or CR in a field; an
+    added blank, whitespace-only, 5-field or 7-field line; a 5-field line
+    followed by a 7-field one; another header; CRLF or lone-CR line ends;
+    one odd line end; no final newline.
     """
     fault = draw(st.sampled_from(FAULTS))
     arr = draw(corrupted_arrays(corrupt=draw(st.booleans())))
@@ -364,6 +366,17 @@ PLAIN = HEADER + "\n1,1,1,1,1,2.5\n0,1,1,0,0,\n1,0,0,,0,\n0,0,1,1,0,\n"
     PLAIN[:-1],                                           # no final newline
     HEADER + "\n",
     "",
+    PLAIN.replace("\n", ",0\n").replace(",0\n", "\n", 1),   # every data line has 7 fields
+    # a blank line next to an 11-field line keeps the file's comma count
+    PLAIN.replace("\n0,1,1,0,0,\n", "\n\n0,1,1,0,0,,1,1,1,1,1\n", 1),
+    HEADER + "\n\n1,1,1,1,1,2.5,0,1,1,0,0\n",              # ... as the only data line
+    PLAIN.replace("\n0,1", "\n  \n0,1", 1).replace(",2.5\n", ",2.5,1,1,1,1,1\n", 1),
+    PLAIN.replace("2.5", "2#5", 1),                        # a # inside a y field
+    PLAIN.replace("2.5", "2.5#", 1),
+    PLAIN.replace("2.5", "1_0", 1),                        # float() reads these three
+    PLAIN.replace("2.5", "\u0661", 1),
+    PLAIN.replace("1,1,1,1,1", "\u0661,1,1,1,1", 1),
+    PLAIN.replace("2.5", "0x10", 1),
     # a parse error, then an undecodable byte past the first block read
     (PLAIN + "1,1,1,1,1,oops\n" + "0,0,1,1,0,\n" * 1000).encode() + b"\xff\n",
 ])
@@ -371,6 +384,27 @@ def test_listed_layouts_are_parsed_line_by_line(tmp_path, text):
     path = tmp_path / "layout.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert _read_plain_csv(path) is None
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
+@pytest.mark.parametrize("text", [
+    PLAIN,
+    HEADER + "\n1,1,1,1,1,2.5\n",                          # one data line
+    HEADER + "\n1,0,0,,0,\n",
+    PLAIN.replace("2.5", "inf", 1),                        # read, then an invalid record
+    PLAIN.replace("2.5", "-Infinity", 1),
+    PLAIN.replace("2.5", "1e5", 1),
+    PLAIN.replace("2.5", "+1", 1),
+    PLAIN.replace("2.5", ".5", 1),
+    PLAIN.replace("2.5", " 2.5\t", 1),
+    PLAIN.replace("2.5", "\x1c2.5", 1),
+    PLAIN.replace("0,1,1,0,0,", "0,1,1,0.0,0,nan", 1),
+])
+def test_listed_layouts_are_parsed_in_bulk(tmp_path, text):
+    path = tmp_path / "layout.csv"
+    path.write_bytes(text.encode("utf-8"))
+    arr = _read_plain_csv(path)
+    assert arr is not None and arr.shape == (text.count("\n") - 1, 6)
     assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
 
 
