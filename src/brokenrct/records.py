@@ -143,8 +143,9 @@ def outcome_moments(cell_ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for i, ys in enumerate(cell_ys):
         if ys.size:
             k[i] = ys.size
-            mean[i] = ys.mean()
-            m2[i] = ((ys - mean[i]) ** 2).sum()
+            # ys.mean() and .sum() without their Python wrappers, bit for bit
+            mean[i] = np.add.reduce(ys) / ys.size
+            m2[i] = np.add.reduce((ys - mean[i]) ** 2)
     return k.reshape(2, 2), mean.reshape(2, 2), m2.reshape(2, 2)
 
 
@@ -330,11 +331,12 @@ def warn_if_weak(report: ValidationReport) -> None:
 def read_csv(path) -> np.ndarray:
     """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing).
 
-    The file is UTF-8, with or without a byte order mark.  An LF-terminated,
-    unquoted file with no blank line is parsed in bulk by numpy's C reader,
-    every other file line by line, with the same results and errors.  A
-    field that the C reader does not parse (``1_0`` and non-ASCII digits,
-    which ``float()`` reads, or a ``#``) also sends the file line by line.
+    The file is UTF-8, with or without a byte order mark.  An unquoted file
+    with no blank line, whose lines all end in LF or all in CRLF, is parsed
+    in bulk by numpy's C reader, every other file line by line, with the
+    same results and errors.  A field that the C reader does not parse
+    (``1_0`` and non-ASCII digits, which ``float()`` reads, or a ``#``)
+    also sends the file line by line.
     Errors name the first offending line: an invalid record on an earlier
     line is reported before a parse error on a later one.
     """
@@ -347,23 +349,30 @@ def read_csv(path) -> np.ndarray:
 def _read_plain_csv(path) -> np.ndarray | None:
     """The unchecked (n, 6) array of a plain file, or None for any other file.
 
-    Plain: no CR, the exact header, then at least one line of six fields,
-    each line ending in LF, no blank line, and in every field but a blank s
-    or y a number that ``np.loadtxt`` parses.  It parses none of ``1_0``,
-    non-ASCII digits and a ``#`` (comments are off), so those files return
-    None and the line parser reads or reports them.
+    Plain: the exact header, then at least one line of six fields, every
+    line ending in LF, or every line in CRLF with no other CR, no blank
+    line, and in every field but a blank s or y a number that
+    ``np.loadtxt`` parses.  It parses none of ``1_0``, non-ASCII digits and
+    a ``#`` (comments are off), so those files return None and the line
+    parser reads or reports them.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         return None
+    if "\r" in text:
+        # a CR anywhere but before every LF is left to the line parser
+        n_crlf = text.count("\r\n")
+        if n_crlf != text.count("\r") or n_crlf != text.count("\n"):
+            return None
+        text = text.replace("\r\n", "\n")
     header = ",".join(COLUMNS) + "\n"
     n_lines = text.count("\n")
     # loadtxt skips a blank line, but a blank line keeps this total only next
     # to a line of more than six fields, which loadtxt or the shape rejects
     if (not text.startswith(header) or not text.endswith("\n") or n_lines < 2
-            or "\r" in text or text.count(",") != 5 * n_lines):
+            or text.count(",") != 5 * n_lines):
         return None
     # loadtxt rejects a quote, a whitespace-only field, a blank that the fill
     # leaves (a leading one, or two in a row) and any other non-number

@@ -7,6 +7,12 @@ the treated survival indicator, the treated outcome gains half the control
 survival indicator), which breaks the ignorability the main estimator needs.
 Ground truth is always evaluated empirically on the survived compliers of a
 large oracle draw, so it is consistent with whatever joint law is generated.
+
+One draw core, :func:`_potential_outcomes`, defines the DGP: its draws, their
+order and its formulas.  :func:`generate` builds a dataset and its potential
+table from it; a study replication reduces the same draws straight to the
+dataset's cell statistics, bit for bit, without building the dataset; and
+:func:`true_pace` draws only what the survived compliers read.
 """
 
 from __future__ import annotations
@@ -22,9 +28,13 @@ import numpy as np
 
 from .comparators import METHODS, estimate
 from .errors import EstimationError, Reason
-from .records import STRATA, CellStatistics, cells_from_arrays
+from .records import CELLS, STRATA, CellStatistics, outcome_moments
 
 CASES = (1, 2, 3, 4)
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -65,10 +75,29 @@ class DgpConfig:
         return self.case in (3, 4)
 
     def validate(self) -> None:
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        """Raise ``ValueError`` naming the first invalid field."""
+        if not _is_int(self.case, 1) or self.case not in CASES:
+            raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
+        if not _is_int(self.n, 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        reals = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("surv_coef_"):
+                if not isinstance(value, (tuple, list)) or len(value) != 3:
+                    raise ValueError(f"{f.name} must be 3 coefficients, got {value!r}")
+                reals.update((f"{f.name}[{i}]", v) for i, v in enumerate(value))
+            elif f.name not in ("n", "case"):
+                reals[f.name] = value
+        for name, value in reals.items():
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name, value in (("sd_base", self.sd_base),
+                            ("sd_base + sd_gain", self.sd_base + self.sd_gain),
+                            ("never_sd", self.never_sd), ("always_sd", self.always_sd)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         for name in ("assign_rate", "p_d0", "p_d1_given_not_d0"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -117,34 +146,45 @@ class PotentialData:
 
 
 def _potential_outcomes(config: DgpConfig, rng):
-    """(d0, d1, s0, s1, y0, y1) of ``config.n`` units, the draws of
-    :func:`generate` before the assignment; y0 and y1 are drawn for every
-    unit, survivor or not."""
-    config.validate()
-    n = config.n
-    d0 = (rng.random(n) < config.p_d0).astype(np.int8)
-    d1 = np.where(d0 == 1, np.int8(1),
-                  (rng.random(n) < config.p_d1_given_not_d0).astype(np.int8))
+    """(d0, d1, s0, s1, y0, y1) of ``config.n`` units, the one definition of
+    the DGP; the treatments and survivals are booleans, and y0 and y1 are
+    drawn for every unit, survivor or not.  ``config`` must be valid.
 
-    a0, b0, c0 = config.surv_coef_control
-    a1, b1, c1 = config.surv_coef_treated
-    p_s0 = a0 + b0 * d0 + c0 * d1
-    p_s1 = a1 + b1 * d0 + c1 * d1
-    s0 = (rng.random(n) < p_s0).astype(np.int8)
-    s1 = (rng.random(n) < p_s1).astype(np.int8)
+    The draws, in stream order: the uniforms of D(0), D(1), S(0) and S(1),
+    Y(0), Y(1), then (cases 2 and 4) the never-taker and always-taker
+    shifts.  No complier reads those last two.
+    """
+    n = config.n
+    # one uniform array at a time and new arrays for the strata shifts: one
+    # array of all four uniforms, or shifts in place, left more of the heap
+    # resident after a large draw (up to 3 MB more at n = 10^5)
+    d0 = rng.random(n) < config.p_d0
+    d1 = d0 | (rng.random(n) < config.p_d1_given_not_d0)
+    s0, s1 = (rng.random(n) < a + b * d0 + c * d1
+              for a, b, c in (config.surv_coef_control, config.surv_coef_treated))
 
     y0 = rng.normal(config.mean_base, config.sd_base, n)
-    y1 = rng.normal(config.mean_base + config.mean_gain,
-                    config.sd_base + config.sd_gain, n)
+    y1 = rng.normal(config.mean_base + config.mean_gain, config.sd_base + config.sd_gain, n)
     if config.heterogeneous:
-        never = d1 == 0
-        always = d0 == 1
-        y0 = np.where(never, y0 - rng.normal(config.never_mean, config.never_sd, n), y0)
-        y1 = np.where(always, y1 + rng.normal(config.always_mean, config.always_sd, n), y1)
+        y0 = np.where(d1, y0, y0 - rng.normal(config.never_mean, config.never_sd, n))
+        y1 = np.where(d0, y1 + rng.normal(config.always_mean, config.always_sd, n), y1)
     if config.cross_world:
-        y0 = y0 + config.y0_gain_from_s1 * s1
-        y1 = y1 + config.y1_gain_from_s0 * s0
+        y0 += config.y0_gain_from_s1 * s1
+        y1 += config.y1_gain_from_s0 * s0
     return d0, d1, s0, s1, y0, y1
+
+
+def _observe(config: DgpConfig, seed):
+    """The potential outcomes of one dataset, then its assignment z and what
+    z reveals: the treatment d, the survival s and the outcome y of d (drawn
+    for every unit, survivor or not)."""
+    rng = np.random.default_rng(seed)
+    potential = d0, d1, s0, s1, y0, y1 = _potential_outcomes(config, rng)
+    # assignment is drawn last: the potential table for a seed does not
+    # depend on the assignment mechanism
+    z = rng.random(config.n) < config.assign_rate
+    d = np.where(z, d1, d0)
+    return potential, z, d, np.where(d, s1, s0), np.where(d, y1, y0)
 
 
 def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
@@ -155,36 +195,47 @@ def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
     Monotonicity holds by construction and the assignment never enters the
     survival or outcome draws.
     """
-    rng = np.random.default_rng(seed)
-    d0, d1, s0, s1, y0, y1 = _potential_outcomes(config, rng)
-    y1 = np.where(s1 == 1, y1, np.nan)
-    y0 = np.where(s0 == 1, y0, np.nan)
-
-    # assignment is drawn last: the potential table for a seed does not
-    # depend on the assignment mechanism
-    n = config.n
-    z = (rng.random(n) < config.assign_rate).astype(np.int8)
-    d = np.where(z == 1, d1, d0)
-    s = np.where(d == 1, s1, s0)
-    y = np.where(d == 1, y1, y0)
-    observed = np.column_stack([
-        z.astype(float),
-        d.astype(float),
-        np.ones(n),
-        s.astype(float),
-        np.ones(n),
-        np.where(s == 1, y, np.nan),
-    ])
-    potential = PotentialData(z=z, d1=d1, d0=d0, s1=s1, s0=s0, y1=y1, y0=y0)
+    config.validate()
+    (d0, d1, s0, s1, y0, y1), z, d, s, y = _observe(config, seed)
+    ones = np.ones(config.n)
+    observed = np.column_stack([z, d, ones, s, ones, np.where(s, y, np.nan)])
+    potential = PotentialData(
+        *(b.astype(np.int8) for b in (z, d1, d0, s1, s0)),
+        y1=np.where(s1, y1, np.nan), y0=np.where(s0, y0, np.nan))
     return observed, potential
+
+
+def _replication_cells(config: DgpConfig, seed) -> CellStatistics:
+    """The cell statistics of ``generate(config, seed)``'s dataset, bit for
+    bit, without building it: every record has an observed survival and
+    outcome, so the survivors' outcomes are grouped by cell with one stable
+    sort and reduced by :func:`~brokenrct.records.outcome_moments`."""
+    _, z, d, s, y = _observe(config, seed)
+    # key 2z + d is a survivor's cell and 4 + 2z + d anyone else's: one stable
+    # (radix, as the key is int8) sort puts the survivors first, by cell
+    key = z * np.int8(2) + d + np.int8(4) * ~s
+    survived, dead = np.bincount(key, minlength=2 * len(CELLS)).reshape(2, 2, 2)
+    ends = np.cumsum(survived).tolist()
+    by_cell = y[np.argsort(key, kind="stable")[:ends[-1]]]
+    cell_ys = [np.sort(by_cell[start:end]) for start, end in zip([0] + ends, ends)]
+    count = survived + dead
+    return CellStatistics(count, count.copy(), survived, np.zeros_like(count),
+                          *outcome_moments(cell_ys))
 
 
 def true_pace(config: DgpConfig, oracle_n: int = 1_000_000, seed=2718281828) -> float:
     """Empirical ground truth: mean Y(1) - Y(0) over survived compliers,
-    drawn as :func:`generate` draws them, without the assignment."""
-    d0, d1, s0, s1, y0, y1 = _potential_outcomes(replace(config, n=int(oracle_n)),
-                                                 np.random.default_rng(seed))
-    keep = (d1 == 1) & (d0 == 0) & (s1 == 1) & (s0 == 1)
+    drawn as :func:`generate` draws them, without the assignment.
+
+    The never-taker and always-taker shifts are drawn last and no complier
+    reads them, so the homogeneous twin of a case (2 -> 1, 4 -> 3) draws
+    the same compliers without them.
+    """
+    config = replace(config, n=int(oracle_n))
+    config.validate()
+    twin = replace(config, case=config.case - config.heterogeneous)
+    d0, d1, s0, s1, y0, y1 = _potential_outcomes(twin, np.random.default_rng(seed))
+    keep = d1 & ~d0 & s1 & s0
     if not keep.any():
         raise EstimationError("no survived compliers in the oracle draw")
     return float((y1[keep] - y0[keep]).mean())
@@ -267,17 +318,13 @@ def _run_chunk(task):
     denominator in the warning band too: its estimate would poison the moments."""
     config, case, size_index, rep_range, seed, estimator_names = task
     cells = CellStatistics.stack([
-        cells_from_arrays(*generate(config, _replication_seed(seed, case, size_index, rep))[0].T)
+        _replication_cells(config, _replication_seed(seed, case, size_index, rep))
         for rep in rep_range])
     out = {}
     for name in estimator_names:
         est = estimate(cells, name)
         out[name] = (est.tau, est.se, est.ci_lower, est.ci_upper, est.reason != Reason.OK)
     return out
-
-
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def _checked_list(name: str, values, valid, rule: str) -> tuple:
@@ -312,8 +359,10 @@ def run_study(
     The study is one flat list of (case, size, replication chunk) tasks run
     by one map: with ``n_jobs > 1`` a single process pool of ``n_jobs``
     workers runs every task while this process draws the per-case truths;
-    with ``n_jobs == 1`` no pool is started.  A task stacks its
-    replications' cell statistics and runs each estimator once on the
+    with ``n_jobs == 1`` no pool is started.  Each replication draws what
+    :func:`generate` draws and reduces it straight to that dataset's cell
+    statistics, bit for bit, without building the dataset.  A task stacks
+    its replications' cell statistics and runs each estimator once on the
     stack by :func:`~brokenrct.comparators.estimate`, which gives every
     row the estimate one dataset would give, bit for bit, or a
     :class:`~brokenrct.errors.Reason`.  A replication with any reason
@@ -324,9 +373,10 @@ def run_study(
     These defaults are the study-config defaults of ``brokenrct simulate``.
     ``reps``, ``oracle_n`` or ``n_jobs`` below 1, a negative ``seed``, a
     boolean in place of an integer, an empty list, a size below 1, a case
-    outside :data:`CASES`, an unknown estimator or an entry repeated in
-    ``cases``, ``sizes`` or ``estimators`` raises ``ValueError`` naming the
-    field.
+    outside :data:`CASES`, an unknown estimator, an entry repeated in
+    ``cases``, ``sizes`` or ``estimators``, or a ``config`` that
+    :meth:`DgpConfig.validate` rejects raises ``ValueError`` naming the
+    field, before any replication runs.
 
     A replication's stream is keyed by (case, position of n in ``sizes``,
     rep), not by n itself, so the rows of one (case, n) cell depend on
@@ -347,6 +397,8 @@ def run_study(
                                lambda e: isinstance(e, str) and e in METHODS,
                                f"estimators from {sorted(METHODS)}")
     base = config or DgpConfig()
+    # cases and sizes are checked above; this checks the rest of the DGP
+    replace(base, case=cases[0], n=sizes[0]).validate()
     grid = [(case, size_index, n) for case in cases for size_index, n in enumerate(sizes)]
     chunks = _chunk_ranges(reps, n_jobs)
     tasks = [(replace(base, case=case, n=n), case, size_index, chunk, seed, estimators)

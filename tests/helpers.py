@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from hypothesis import reject
 from hypothesis import strategies as st
 
 from brokenrct.errors import (
@@ -952,3 +953,50 @@ def true_pace_reference(config, oracle_n=1_000_000, seed=2718281828):
     if not keep.any():
         raise EstimationError("no survived compliers in the oracle draw")
     return float((potential.y1[keep] - potential.y0[keep]).mean())
+
+
+#: DGP overrides that :meth:`DgpConfig.validate` rejects, each with the start of its message
+BROKEN_DGP = [
+    ({"mean_gain": None}, "mean_gain must be a finite real number"),
+    ({"sd_base": float("nan")}, "sd_base must be a finite real number"),
+    ({"never_mean": float("inf")}, "never_mean must be a finite real number"),
+    ({"p_d0": True}, "p_d0 must be a finite real number"),
+    ({"y1_gain_from_s0": "0.5"}, "y1_gain_from_s0 must be a finite real number"),
+    ({"surv_coef_treated": (0.3, None, 0.3)},
+     r"surv_coef_treated\[1\] must be a finite real number"),
+    ({"sd_base": -1}, "sd_base must be >= 0"),
+    ({"sd_gain": -0.9}, r"sd_base \+ sd_gain must be >= 0"),
+    ({"never_sd": -0.2}, "never_sd must be >= 0"),
+    ({"always_sd": -0.2}, "always_sd must be >= 0"),
+    ({"surv_coef_control": (0.3, 0.2)}, "surv_coef_control must be 3 coefficients"),
+    ({"surv_coef_treated": (0.3, 0.3, 0.3, 0.0)}, "surv_coef_treated must be 3 coefficients"),
+]
+
+_UNIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+_REAL = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def dgp_configs(draw, max_n=3000):
+    """Valid :class:`DgpConfig`s of every case, n from 1 to ``max_n``, with
+    every other field drawn too (probabilities including 0 and 1)."""
+    def coefficients():
+        # survival probabilities of never-takers, compliers and always-takers
+        p_n, p_c, p_a = draw(_UNIT), draw(_UNIT), draw(_UNIT)
+        return (p_n, p_a - p_c, p_c - p_n)
+
+    sd_base = draw(st.floats(0.0, 2.0))
+    config = DgpConfig(
+        n=draw(st.integers(1, max_n)), case=draw(st.sampled_from((1, 2, 3, 4))),
+        assign_rate=draw(_UNIT), p_d0=draw(_UNIT), p_d1_given_not_d0=draw(_UNIT),
+        surv_coef_control=coefficients(), surv_coef_treated=coefficients(),
+        mean_base=draw(_REAL), mean_gain=draw(_REAL), sd_base=sd_base,
+        sd_gain=draw(st.floats(-sd_base, 2.0)), never_mean=draw(_REAL),
+        never_sd=draw(st.floats(0.0, 1.0)), always_mean=draw(_REAL),
+        always_sd=draw(st.floats(0.0, 1.0)), y0_gain_from_s1=draw(_REAL),
+        y1_gain_from_s0=draw(_REAL))
+    try:
+        config.validate()
+    except ValueError:  # a coefficient sum rounded out of [0, 1]
+        reject()
+    return config

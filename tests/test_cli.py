@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from brokenrct.estimators import PaceEstimator
 from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import build_study_dataset, delete_outcomes_mcar, delete_survival_mcar
+from helpers import (
+    BROKEN_DGP,
+    build_study_dataset,
+    delete_outcomes_mcar,
+    delete_survival_mcar,
+)
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +316,18 @@ class TestSimulate:
         assert metadata["seed"] == 5
         assert len(metadata["config_sha256"]) == 64
 
+    def test_study_golden_is_reproduced(self, capsys, tmp_path):
+        # cases 1-4 at n = 60 and 300, 21 reps in uneven chunks, every
+        # estimator; a deliberate change to the study's streams or rows
+        # regenerates these files in the same commit
+        golden = Path(__file__).parent / "data" / "study-golden"
+        out_dir = tmp_path / "golden"
+        assert main(["simulate", "--config", str(golden / "config.json"),
+                     "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        for name in ("report.csv", "table.txt"):
+            assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_metadata_leaves_out_n_jobs(self, capsys, tmp_path):
         outputs = []
         for n_jobs in (1, 2):
@@ -361,6 +380,16 @@ class TestSimulate:
             "simulate", "--config", str(path), "--out-dir", str(tmp_path / "z")])
         assert code == 4
 
+
+    @pytest.mark.parametrize("overrides,message", BROKEN_DGP)
+    def test_broken_dgp_exits_4(self, capsys, tmp_path, overrides, message):
+        config = self.write_config(tmp_path, dgp=overrides)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(config),
+                                          "--out-dir", str(out_dir)])
+        assert code == 4
+        assert re.match(f"error: dgp: {message}", err)
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("reps", True), ("oracle_n", True), ("n_jobs", True), ("seed", False),

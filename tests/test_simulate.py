@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokenrct import identify, simulate
 from brokenrct.cli import build_parser
@@ -12,6 +16,7 @@ from brokenrct.simulate import (
     DgpConfig,
     SimulationReport,
     StudyRow,
+    _replication_cells,
     _replication_seed,
     _run_chunk,
     generate,
@@ -19,7 +24,20 @@ from brokenrct.simulate import (
     true_pace,
 )
 
-from helpers import case1_params_oracle, pace_denominators_twin, true_pace_reference
+from helpers import (
+    BROKEN_DGP,
+    assert_same_outcome,
+    case1_params_oracle,
+    dgp_configs,
+    outcome,
+    pace_denominators_twin,
+    true_pace_reference,
+)
+
+SEEDS = st.one_of(st.integers(0, 2**64 - 1),
+                  st.tuples(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 3),
+                            st.integers(0, 2000)).map(
+                      lambda key: np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])))
 
 
 class TestGenerate:
@@ -78,6 +96,16 @@ class TestGenerate:
                 cell = (z == zz) & (d == dd)
                 assert abs(s[cell].mean() - oracle.survival[zz, dd]) < 0.01
 
+    @pytest.mark.parametrize("overrides,message", BROKEN_DGP)
+    def test_broken_override_names_its_field(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            generate(DgpConfig(n=10, **overrides), seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, None, "10"])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            generate(DgpConfig(n=n), seed=0)
+
     def test_invalid_coefficients_rejected(self):
         config = DgpConfig(n=10, surv_coef_treated=(0.5, 0.4, 0.4))
         with pytest.raises(ValueError):
@@ -105,6 +133,14 @@ class TestTruePace:
             want = true_pace_reference(config, oracle_n=20_000, seed=np.random.SeedSequence(seed))
             assert got == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(config=dgp_configs(), seed=SEEDS)
+    def test_bit_equal_to_the_reference_on_any_config(self, config, seed):
+        # the config's n is the oracle size; an oracle draw without survived
+        # compliers must fail as the reference fails
+        assert_same_outcome(outcome(true_pace, config, oracle_n=config.n, seed=seed),
+                            outcome(true_pace_reference, config, oracle_n=config.n, seed=seed))
+
     def test_no_survived_compliers_raises_like_the_reference(self):
         config = DgpConfig(case=1, p_d1_given_not_d0=0.0)
         for truth in (true_pace, true_pace_reference):
@@ -115,6 +151,16 @@ class TestTruePace:
         _, pot = generate(DgpConfig(n=400_000, case=1), seed=68)
         keep = pot.survived_complier
         assert (pot.y1[keep] - pot.y0[keep]).mean() == pytest.approx(1.0, abs=0.02)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=dgp_configs(), seed=SEEDS)
+def test_replication_cells_are_the_generated_dataset_cells(config, seed):
+    got = _replication_cells(config, seed)
+    want = cells_from_arrays(*generate(config, seed)[0].T)
+    for f in fields(CellStatistics):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
 
 
 class TestRunStudy:
@@ -167,6 +213,16 @@ class TestRunStudy:
         settings[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be"):
             run_study(**settings)
+
+    @pytest.mark.parametrize("overrides,message", BROKEN_DGP)
+    def test_broken_dgp_rejected_before_any_draw(self, monkeypatch, overrides, message):
+        def never(*args):
+            raise AssertionError("a replication or truth was drawn")
+
+        monkeypatch.setattr(simulate, "_potential_outcomes", never)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_study(cases=(2,), sizes=(100,), reps=5, estimators=("tsls",), seed=1,
+                      oracle_n=10_000, config=DgpConfig(**overrides))
 
     def test_failures_counted_not_fatal(self):
         report = run_study(cases=(1,), sizes=(12,), reps=40,
