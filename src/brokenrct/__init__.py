@@ -14,13 +14,13 @@ from .errors import (
     AllOutcomesMissingError,
     BrokenRctError,
     DenominatorDegenerateError,
+    DesignError,
     EmptyCellError,
     EstimationError,
     IdentificationWarning,
     InvalidRecordError,
     MuOutOfUnitIntervalError,
     NoDonorsError,
-    ReductionPreconditionError,
     SchemaError,
     WeakDenominatorWarning,
     WeakInstrumentWarning,
@@ -71,6 +71,7 @@ __all__ = [
     "CellStatistics",
     "ComplierSurvival",
     "DenominatorDegenerateError",
+    "DesignError",
     "DgpConfig",
     "EmptyCellError",
     "Estimate",
@@ -85,7 +86,6 @@ __all__ = [
     "PooledEstimate",
     "PotentialData",
     "PrincipalStratum",
-    "ReductionPreconditionError",
     "STRATA",
     "SchemaError",
     "SimulationReport",

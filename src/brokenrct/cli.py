@@ -1,9 +1,11 @@
 """Command-line front end: analyze, simulate, effect-series.
 
-Exit codes: 0 success, 2 design-validation failure, 3 estimation failure,
-4 I/O, schema or configuration failure.  All output is deterministic given
-the inputs and seed: reports embed the package version, the seed and a
-configuration digest, never timestamps.
+Exit codes: 0 success; 2 design-validation failure (a
+:class:`~brokenrct.errors.DesignError`, printed as "validation failure: ...")
+or a hot-deck cell with no donor; 3 estimation failure; 4 I/O, schema or
+configuration failure, an incomplete ``--completed-dir`` file included.
+All output is deterministic given the inputs and seed: reports embed the
+package version, the seed and a configuration digest, never timestamps.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .comparators import METHODS, check_scale
-from .errors import BrokenRctError, EstimationError, SchemaError
+from .errors import BrokenRctError, DesignError, EstimationError, SchemaError
 from .estimation import SCALES
 from .estimators import analyze_dataset
-from .imputation import read_completed_dir
-from .records import WEAK_INSTRUMENT_THRESHOLD, cells_from_arrays, read_csv, validate_design
+from .records import WEAK_INSTRUMENT_THRESHOLD, read_csv
 from .simulate import DgpConfig, run_study
 
 EXIT_OK = 0
@@ -91,6 +92,9 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
+    except DesignError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except BrokenRctError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -108,29 +112,18 @@ def cmd_analyze(args) -> int:
     for method in methods:
         check_scale(method, args.scale)
     arr = read_csv(args.input)
-    cells = cells_from_arrays(*arr.T)
-
-    report = validate_design(cells, weak_threshold=args.weak_threshold)
-    if report.failures:
-        for failure in report.failures:
-            print(f"validation failure: {failure}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    completed = None
+    with warnings.catch_warnings(record=True) as captured:
+        warnings.simplefilter("always")
+        analysis = analyze_dataset(arr, methods, args.level, args.scale, args.impute,
+                                   args.seed, args.completed_dir, args.weak_threshold)
+    report, strata, survival = analysis.validation, analysis.strata, analysis.survival
     mode = "complete-case"
     if args.impute is not None:
         mode = f"impute m={args.impute} seed={args.seed}"
     elif args.completed_dir is not None:
-        completed = [cells_from_arrays(*done.T) for done in read_completed_dir(args.completed_dir)]
-        mode = f"completed-dir m={len(completed)}"
-
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always")
-        _, _, strata, survival, estimates = analyze_dataset(
-            arr, cells, methods, args.level, args.scale, args.impute, args.seed, completed)
+        mode = f"completed-dir m={analysis.estimates[methods[0]].m}"
     results = {method: dict(zip(ESTIMATE_COLUMNS, (est.tau, est.se, *est.ci, est.p_value)))
-               for method, est in estimates.items()}
-    caught = report.warnings + [str(w.message) for w in captured]
+               for method, est in analysis.estimates.items()}
 
     payload = {
         "version": __version__,
@@ -145,7 +138,7 @@ def cmd_analyze(args) -> int:
         "complier_survival": {"treated": survival.s1_given_c, "control": survival.s0_given_c,
                               "effect": survival.effect},
         "estimates": results,
-        "warnings": caught,
+        "warnings": [str(w.message) for w in captured],
     }
     _emit(_render_analyze(payload, args.format), args.output)
     return EXIT_OK
@@ -253,14 +246,10 @@ def cmd_effect_series(args) -> int:
         row = {"period": period, "input": path}
         try:
             arr = read_csv(path)
-            cells = cells_from_arrays(*arr.T)
-            failures = validate_design(cells).failures
-            if failures:
-                raise BrokenRctError("validation failure: " + "; ".join(failures))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                _, _, _, survival, estimates = analyze_dataset(arr, cells, level=args.level)
-            est = estimates["pace"]
+                analysis = analyze_dataset(arr, level=args.level)
+            est, survival = analysis.estimates["pace"], analysis.survival
             row.update(n=est.n, s1_complier=survival.s1_given_c,
                        s0_complier=survival.s0_given_c, survival_effect=survival.effect,
                        tau=est.tau, se=est.se, ci_lower=est.ci_lower, ci_upper=est.ci_upper,

@@ -18,6 +18,10 @@ class InvalidRecordError(BrokenRctError):
         super().__init__(f"record {index}: {rule}")
 
 
+class DesignError(BrokenRctError):
+    """The design fails a check of :func:`~brokenrct.records.validate_design`."""
+
+
 class SchemaError(BrokenRctError):
     """A CSV file does not conform to the expected schema."""
 
@@ -46,10 +50,6 @@ class DenominatorDegenerateError(EstimationError):
 
 class MuOutOfUnitIntervalError(EstimationError):
     """A survived-complier mean lies outside (0, 1) on the logit scale."""
-
-
-class ReductionPreconditionError(EstimationError):
-    """Data do not satisfy the precondition of a special-case reduction."""
 
 
 class NoDonorsError(BrokenRctError):

@@ -46,10 +46,6 @@ class CellCovariance:
         """g' diag(v) g per row, as one sum over the 11 packed entries."""
         return np.sum(np.asarray(gradient) ** 2 * self.diagonal, axis=-1)
 
-    @classmethod
-    def zero(cls) -> "CellCovariance":
-        return cls(diagonal=np.zeros(11))
-
 
 @dataclass(frozen=True)
 class Estimate:

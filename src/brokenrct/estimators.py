@@ -10,23 +10,42 @@ missing), a dataframe with those columns, or a sequence of records.
 from __future__ import annotations
 
 import inspect
+import warnings
+from collections import namedtuple
 
 from . import comparators, identify, imputation
+from .errors import DesignError, WeakInstrumentWarning
 from .estimation import estimate_pace, fit_cell_params
-from .records import as_array, cells_from_arrays, validate_design, warn_if_weak
+from .records import WEAK_INSTRUMENT_THRESHOLD, as_array, cells_from_arrays, validate_design
 from .simulate import _is_int
 
+#: the record of one :func:`analyze_dataset` run; ``estimates`` maps method to estimate
+Analysis = namedtuple("Analysis", "validation cells params cov strata survival estimates")
 
-def analyze_dataset(arr, cells, methods=("pace",), level: float = 0.95, scale: str = "identity",
-                    impute: int | None = None, seed=0, completed=None):
-    """The analysis of ``arr``, a validated (n, 6) array, with cell statistics ``cells``:
-    draw ``impute`` = m hot-deck imputations from ``seed`` when asked (``completed``
-    holds cells completed elsewhere), fit the complete-case cells once, take the strata
-    proportions and then complier survival, and estimate each method on the cells or
-    pooled over the completed cells.  Returns (params, cov, strata, survival, estimates).
+
+def analyze_dataset(arr, methods=("pace",), level: float = 0.95, scale: str = "identity",
+                    impute: int | None = None, seed=0, completed_dir=None,
+                    weak_threshold: float = WEAK_INSTRUMENT_THRESHOLD) -> Analysis:
+    """The :class:`Analysis` of ``arr``, a validated (n, 6) array: ingest it and
+    check the design, which raises :class:`~brokenrct.errors.DesignError` or
+    warns of a weak first stage before anything else warns; draw ``impute`` = m
+    hot-deck imputations from ``seed``, or read ``completed_dir``, when asked;
+    fit the complete-case cells once, take the strata proportions and then
+    complier survival, and estimate each method on the cells or pooled over
+    the completed cells.
     """
+    cells = cells_from_arrays(*arr.T)
+    validation = validate_design(cells, weak_threshold)
+    if validation.failures:
+        raise DesignError("validation failure: " + "; ".join(validation.failures))
+    for message in validation.warnings:
+        warnings.warn(message, WeakInstrumentWarning, stacklevel=2)
+    completed = None
     if impute is not None:
         completed = imputation._completed_cells(arr, cells, impute, seed)
+    elif completed_dir is not None:
+        completed = [cells_from_arrays(*done.T)
+                     for done in imputation.read_completed_dir(completed_dir)]
     params, cov = fit_cell_params(cells)
     strata, survival = identify.strata_proportions(params), identify.complier_survival(params)
     estimates = {}
@@ -38,7 +57,7 @@ def analyze_dataset(arr, cells, methods=("pace",), level: float = 0.95, scale: s
             estimates[method] = estimate_pace(params, cov, level, cells.n_records, scale)
         else:
             estimates[method] = comparators.estimate(cells, method, level, scale)
-    return params, cov, strata, survival, estimates
+    return Analysis(validation, cells, params, cov, strata, survival, estimates)
 
 
 class BaseReportingEstimator:
@@ -110,10 +129,12 @@ class PaceEstimator(BaseReportingEstimator):
         rejects any other value with ``ValueError`` before doing any work.
     seed : generator seed for imputation draws.
 
-    ``fit`` warns of a weak first stage, then runs :func:`analyze_dataset`,
-    the route of ``brokenrct analyze``.  It sets ``estimate_`` (the complete-case
-    ``PaceEstimate``), ``pooled_`` (the ``PooledEstimate`` with ``impute``,
-    else None) and ``result_``, the one of the two that the accessors report.
+    ``fit`` runs :func:`analyze_dataset`, the route of ``brokenrct analyze``, so
+    it warns and fails as ``analyze`` does (a design it rejects raises
+    :class:`~brokenrct.errors.DesignError`), and sets its fitted attributes from
+    the :class:`Analysis`: ``estimate_`` is the complete-case ``PaceEstimate``,
+    ``pooled_`` the ``PooledEstimate`` with ``impute``, else None, and
+    ``result_`` the one of the two that the accessors report.
     """
 
     def __init__(self, level: float = 0.95, scale: str = "identity",
@@ -126,14 +147,12 @@ class PaceEstimator(BaseReportingEstimator):
     def fit(self, X, y=None):
         if self.impute is not None and not _is_int(self.impute, 2):
             raise ValueError(f"impute must be None or an integer >= 2, got {self.impute!r}")
-        arr = as_array(X)
-        self.cells_ = cells_from_arrays(*arr.T)
-        self.validation_ = validate_design(self.cells_)
-        warn_if_weak(self.validation_)
-        (self.params_, self.covariance_, self.strata_proportions_, self.complier_survival_,
-         estimates) = analyze_dataset(arr, self.cells_, ("pace",), self.level, self.scale,
-                                      self.impute, self.seed)
-        self.result_ = self.estimate_ = estimates["pace"]
+        analysis = analyze_dataset(as_array(X), ("pace",), self.level, self.scale,
+                                   self.impute, self.seed)
+        self.validation_, self.cells_ = analysis.validation, analysis.cells
+        self.params_, self.covariance_ = analysis.params, analysis.cov
+        self.strata_proportions_, self.complier_survival_ = analysis.strata, analysis.survival
+        self.result_ = self.estimate_ = analysis.estimates["pace"]
         self.pooled_ = None if self.impute is None else self.result_
         if self.impute is not None:
             self.estimate_ = estimate_pace(self.params_, self.covariance_, self.level,

@@ -78,9 +78,6 @@ class StrataProportions:
     p_c: float
     p_n: float
 
-    def as_tuple(self):
-        return (self.p_a, self.p_c, self.p_n)
-
 
 @dataclass(frozen=True)
 class ComplierSurvival:

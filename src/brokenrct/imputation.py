@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoDonorsError, ReductionPreconditionError
+from .errors import NoDonorsError, SchemaError
 from .estimation import normal_interval
 from .records import (
     CELLS,
@@ -172,7 +172,8 @@ def pool_estimates(estimates, level: float = 0.95) -> PooledEstimate:
 
 
 def read_completed_dir(path) -> list[np.ndarray]:
-    """Load externally completed datasets (one CSV per imputation)."""
+    """Load externally completed datasets (one CSV per imputation); a file
+    missing a survival status or a survivor's outcome raises ``SchemaError``."""
     files = sorted(Path(path).glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no CSV files found in {path}")
@@ -180,8 +181,8 @@ def read_completed_dir(path) -> list[np.ndarray]:
     for f in files:
         arr = read_csv(f)
         if (arr[:, 2] == 0).any():
-            raise ReductionPreconditionError(f"{f}: completed dataset has missing survival")
+            raise SchemaError(f"{f}: completed dataset has missing survival")
         if ((arr[:, 3] == 1) & (arr[:, 4] == 0)).any():
-            raise ReductionPreconditionError(f"{f}: completed dataset has missing outcomes")
+            raise SchemaError(f"{f}: completed dataset has missing outcomes")
         datasets.append(arr)
     return datasets

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidRecordError, SchemaError, WeakInstrumentWarning
+from .errors import InvalidRecordError, SchemaError
 
 COLUMNS = ("z", "d", "delta_s", "s", "delta_y", "y")
 
@@ -319,13 +319,6 @@ def validate_design(records,
         failures=failures,
         warnings=warns,
     )
-
-
-def warn_if_weak(report: ValidationReport) -> None:
-    import warnings as _warnings
-
-    for message in report.warnings:
-        _warnings.warn(message, WeakInstrumentWarning, stacklevel=2)
 
 
 def read_csv(path) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields, replace
@@ -28,7 +29,7 @@ import numpy as np
 
 from .comparators import METHODS, estimate
 from .errors import EstimationError, Reason
-from .records import CELLS, STRATA, CellStatistics, outcome_moments
+from .records import CELLS, CellStatistics, outcome_moments
 
 CASES = (1, 2, 3, 4)
 
@@ -124,25 +125,6 @@ class PotentialData:
     s0: np.ndarray
     y1: np.ndarray   # nan where S(1) = 0 (undefined)
     y0: np.ndarray   # nan where S(0) = 0
-
-    @property
-    def complier(self) -> np.ndarray:
-        return (self.d1 == 1) & (self.d0 == 0)
-
-    @property
-    def survived_complier(self) -> np.ndarray:
-        return self.complier & (self.s1 == 1) & (self.s0 == 1)
-
-    def stratum_labels(self) -> np.ndarray:
-        """Each unit's :data:`~brokenrct.records.STRATA` label; a None survival is not tested."""
-        labels = np.empty(self.z.size, dtype="<U2")
-        for stratum in STRATA:
-            mask = (self.d1 == stratum.d1) & (self.d0 == stratum.d0)
-            for survived, value in ((self.s1, stratum.s1), (self.s0, stratum.s0)):
-                if value is not None:
-                    mask &= survived == value
-            labels[mask] = stratum.label
-        return labels
 
 
 def _potential_outcomes(config: DgpConfig, rng):
@@ -356,15 +338,16 @@ def run_study(
     Every replication owns a counter-keyed generator stream, so results are
     reproducible for any ``n_jobs`` and replications can run in parallel.
 
-    The study is one flat list of (case, size, replication chunk) tasks run
-    by one map: with ``n_jobs > 1`` a single process pool of ``n_jobs``
-    workers runs every task while this process draws the per-case truths;
-    with ``n_jobs == 1`` no pool is started.  Each replication draws what
-    :func:`generate` draws and reduces it straight to that dataset's cell
-    statistics, bit for bit, without building the dataset.  A task stacks
-    its replications' cell statistics and runs each estimator once on the
-    stack by :func:`~brokenrct.comparators.estimate`, which gives every
-    row the estimate one dataset would give, bit for bit, or a
+    The study is one flat list of (case, size, replication chunk) tasks,
+    chunked by ``n_jobs``, run by one map.  A single process pool of
+    ``min(n_jobs, usable CPUs, tasks)`` workers runs every task while this
+    process draws the per-case truths; when that is 1 no pool is started.
+    Each replication draws what :func:`generate` draws and reduces it
+    straight to that dataset's cell statistics, bit for bit, without
+    building the dataset.  A task stacks its replications' cell statistics
+    and runs each estimator once on the stack by
+    :func:`~brokenrct.comparators.estimate`, which gives every row the
+    estimate one dataset would give, bit for bit, or a
     :class:`~brokenrct.errors.Reason`.  A replication with any reason
     (degenerate denominators at small n, a pace denominator in the warning
     band) is counted as failed in its study row, not raised.  The rows are
@@ -403,7 +386,8 @@ def run_study(
     chunks = _chunk_ranges(reps, n_jobs)
     tasks = [(replace(base, case=case, n=n), case, size_index, chunk, seed, estimators)
              for case, size_index, n in grid for chunk in chunks]
-    with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
+    workers = min(n_jobs, _usable_cpus(), len(tasks))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # Executor.map submits every task at once, so the workers run them
         # while this process draws the truths
         results = (pool.map if pool else map)(_run_chunk, tasks)
@@ -432,6 +416,13 @@ def run_study(
                     if taus.size else float("nan")),
             ))
     return SimulationReport(rows=rows, seed=seed, reps=reps, oracle_n=oracle_n)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunk_ranges(reps: int, n_jobs: int):

@@ -35,7 +35,6 @@ from brokenrct.errors import (
     InvalidRecordError,
     MuOutOfUnitIntervalError,
     NoDonorsError,
-    ReductionPreconditionError,
     WeakDenominatorWarning,
 )
 from brokenrct.estimation import (
@@ -56,12 +55,23 @@ from brokenrct.identify import (
     identify_arms,
     survivor_masses,
 )
-from brokenrct.records import CellStatistics, ObservationRecord, as_array, ingest, pool_moments
+from brokenrct.records import (
+    STRATA,
+    CellStatistics,
+    ObservationRecord,
+    as_array,
+    ingest,
+    pool_moments,
+)
 from brokenrct.simulate import DgpConfig, generate
 
 
 class SurvivalMonotonicityWarning(UserWarning):
     """The data empirically contradict survival monotonicity."""
+
+
+class ReductionPreconditionError(Exception):
+    """Data do not satisfy the precondition of a special-case reduction."""
 
 # Employment-study cell values per follow-up year, cells keyed (z, d):
 # survival = employment proportion, mean_y = mean log-earnings of the employed.
@@ -946,10 +956,28 @@ def estimate_reference(cells, method, level=0.95, scale="identity"):
     return itt_at_pp_reference(cells, method, level=level)
 
 
+def survived_complier(potential) -> np.ndarray:
+    """The survived compliers of a ``PotentialData`` table: D(1) = 1, D(0) = 0, S(1) = S(0) = 1."""
+    return ((potential.d1 == 1) & (potential.d0 == 0)
+            & (potential.s1 == 1) & (potential.s0 == 1))
+
+
+def stratum_labels(potential) -> np.ndarray:
+    """Each unit's :data:`~brokenrct.records.STRATA` label; a None survival is not tested."""
+    labels = np.empty(potential.z.size, dtype="<U2")
+    for stratum in STRATA:
+        mask = (potential.d1 == stratum.d1) & (potential.d0 == stratum.d0)
+        for survived, value in ((potential.s1, stratum.s1), (potential.s0, stratum.s0)):
+            if value is not None:
+                mask &= survived == value
+        labels[mask] = stratum.label
+    return labels
+
+
 def true_pace_reference(config, oracle_n=1_000_000, seed=2718281828):
     """The survived-complier truth through the whole of ``generate``."""
     _, potential = generate(replace(config, n=int(oracle_n)), seed)
-    keep = potential.survived_complier
+    keep = survived_complier(potential)
     if not keep.any():
         raise EstimationError("no survived compliers in the oracle draw")
     return float((potential.y1[keep] - potential.y0[keep]).mean())

@@ -116,7 +116,7 @@ def test_pack_and_unpack_are_inverse():
 
 
 @pytest.mark.parametrize("fn", [pace_identify, pace_identify_twin,
-                                lambda p: estimate_pace(p, CellCovariance.zero())])
+                                lambda p: estimate_pace(p, CellCovariance(np.zeros(11)))])
 def test_weak_arm_1_warns_before_arm_0_raises(fn):
     # den1 = 0.6 * 0.5 - 0.4 * 0.7375 = 0.005 (warning band); den0 = 0.4 * 0.6 - 0.6 * 0.4 = 0
     params = CellParams(take=np.array([0.4, 0.6]),

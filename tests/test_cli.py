@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from brokenrct import comparators, estimators, imputation
 from brokenrct.cli import load_study_config, main
-from brokenrct.errors import NoDonorsError
+from brokenrct.errors import DesignError, NoDonorsError, WeakInstrumentWarning
 from brokenrct.estimators import PaceEstimator
 from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
@@ -27,6 +28,22 @@ from helpers import (
 def study_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("study") / "year3.csv"
     write_csv(path, build_study_dataset(year=3))
+    return path
+
+
+@pytest.fixture(scope="module")
+def one_arm_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("onearm") / "onearm.csv"
+    write_csv(path, np.asarray([(1, d, 1, 1, 1, 1.0) for d in (0, 1)] * 5, dtype=float))
+    return path
+
+
+@pytest.fixture(scope="module")
+def weak_csv(tmp_path_factory):
+    # first stage 0.016, below the default threshold 0.02; analyze also warns
+    # of complier survival and weak mixing denominators
+    path = tmp_path_factory.mktemp("weak") / "weak.csv"
+    write_csv(path, generate(DgpConfig(n=2000, case=1, p_d1_given_not_d0=0.01), seed=0)[0])
     return path
 
 
@@ -285,6 +302,57 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, ["analyze", "--input", str(study_csv), "--method", "pace"])
         assert code == 0 and len(calls) == 1
 
+    def test_pace_estimator_fails_as_analyze_on_a_single_arm(self, capsys, one_arm_csv):
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(one_arm_csv)])
+        assert (code, out) == (2, "")
+        with pytest.raises(DesignError) as raised:
+            PaceEstimator().fit(read_csv(one_arm_csv))
+        assert err == f"{raised.value}\n" == "validation failure: single assignment arm\n"
+
+    def test_design_failure_comes_before_a_missing_completed_dir(self, capsys, tmp_path,
+                                                                  one_arm_csv, study_csv):
+        missing = str(tmp_path / "nowhere")
+        code, _, err = run_cli(capsys, ["analyze", "--input", str(one_arm_csv),
+                                        "--completed-dir", missing])
+        assert (code, err) == (2, "validation failure: single assignment arm\n")
+        code, _, err = run_cli(capsys, ["analyze", "--input", str(study_csv),
+                                        "--completed-dir", missing])
+        assert (code, err) == (4, f"error: no CSV files found in {missing}\n")
+
+    @pytest.mark.parametrize("lacking", ["survival", "outcomes"])
+    def test_incomplete_completed_file_exits_4(self, capsys, tmp_path, lacking):
+        arr, _ = generate(DgpConfig(n=1500, case=1), seed=87)
+        data_path = tmp_path / "data.csv"
+        write_csv(data_path, arr)
+        folder = tmp_path / "completed"
+        folder.mkdir()
+        write_csv(folder / "imp0.csv", arr)
+        damaged = (delete_survival_mcar(arr, 0.1, seed=14) if lacking == "survival"
+                   else delete_outcomes_mcar(arr, 0.1, seed=14))
+        write_csv(folder / "imp1.csv", damaged)
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(data_path),
+                                          "--completed-dir", str(folder)])
+        assert (code, out) == (4, "")
+        assert err == f"error: {folder / 'imp1.csv'}: completed dataset has missing {lacking}\n"
+
+    def test_weak_instrument_is_the_first_warning(self, capsys, weak_csv):
+        code, out, _ = run_cli(capsys, ["analyze", "--input", str(weak_csv),
+                                        "--weak-threshold", "0.5", "--format", "json"])
+        assert code == 0
+        messages = json.loads(out)["warnings"]
+        assert len(messages) > 1
+        assert messages[0] == ("weak instrument: first-stage difference 0.0159 "
+                               "below threshold 0.5")
+        assert not any(m.startswith("weak instrument") for m in messages[1:])
+
+    def test_pace_estimator_warns_of_a_weak_instrument_once(self, weak_csv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            PaceEstimator().fit(read_csv(weak_csv))
+        weak = [w for w in caught if issubclass(w.category, WeakInstrumentWarning)]
+        assert len(weak) == 1 and len(caught) > 1
+        assert caught[0].category is WeakInstrumentWarning
+
     def test_csv_format_round_trips(self, capsys, study_csv):
         code, out, _ = run_cli(capsys, [
             "analyze", "--input", str(study_csv), "--format", "csv"])
@@ -508,6 +576,11 @@ class TestEffectSeries:
         assert err.startswith("estimation error: ")
         assert series[1]["status"] == "error: " + err[len("estimation error: "):-1]
 
+    def test_weak_instrument_prints_no_warning(self, capsys, weak_csv):
+        code, out, err = run_cli(capsys, ["effect-series", str(weak_csv)])
+        assert (code, err) == (0, "")
+        assert list(csv.DictReader(io.StringIO(out)))[0]["status"] == "ok"
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         write_csv(path, build_study_dataset(year=1))
@@ -517,3 +590,40 @@ class TestEffectSeries:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("period,")
+
+
+class TestAnalyzeGolden:
+    """``analyze`` and ``effect-series`` bytes on tests/data/analyze-golden/.
+
+    The inputs are a case-2 file (n = 2000, seed 1, about 5% of s and 15% of
+    y deleted) and a 10-row single-arm file.  Each expected output is what
+    the command line below printed, run from the repository root with these
+    relative paths; a deliberate change to these outputs regenerates them in
+    the same commit.
+    """
+
+    GOLDEN = Path("tests/data/analyze-golden")
+    CASE2, ONEARM = str(GOLDEN / "case2.csv"), str(GOLDEN / "onearm.csv")
+    FIVE = [arg for method in comparators.METHODS for arg in ("--method", method)]
+
+    @pytest.fixture(autouse=True)
+    def _at_repo_root(self, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent.parent)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["analyze", "--input", CASE2, *FIVE, "--format", "json"], "five.json"),
+        (["analyze", "--input", CASE2, *FIVE, "--impute", "5", "--seed", "3",
+          "--format", "json"], "impute.json"),
+        (["analyze", "--input", CASE2, "--weak-threshold", "0.5"], "weak.txt"),
+        (["effect-series", CASE2, ONEARM], "series.csv"),
+    ], ids=["five", "impute", "weak", "series"])
+    def test_stdout(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == (self.GOLDEN / expected).read_bytes()
+
+    def test_single_arm(self, capsys):
+        code, out, err = run_cli(capsys, ["analyze", "--input", self.ONEARM])
+        assert out == ""
+        assert err.encode() == (self.GOLDEN / "onearm.err").read_bytes()
+        assert f"{code}\n".encode() == (self.GOLDEN / "onearm.exit").read_bytes()

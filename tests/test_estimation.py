@@ -133,7 +133,7 @@ def max_gradient_error(params, arm, step):
 
 class TestEstimatePace:
     def test_zero_covariance_degenerates(self):
-        est = estimate_pace(study_params(3), CellCovariance.zero())
+        est = estimate_pace(study_params(3), CellCovariance(np.zeros(11)))
         assert est.se == 0.0
         assert est.ci == (est.tau, est.tau)
         assert est.p_value == 0.0
@@ -175,18 +175,18 @@ class TestLogitScale:
                           mean_y=np.array([[p0, p1], [p0, p1]]))
 
     def test_equal_means_zero_log_odds(self):
-        est = estimate_pace(self.binary_params(0.4, 0.4), CellCovariance.zero(),
+        est = estimate_pace(self.binary_params(0.4, 0.4), CellCovariance(np.zeros(11)),
                             scale="logit")
         assert est.tau == pytest.approx(0.0, abs=1e-12)
 
     def test_arithmetic_example(self):
-        est = estimate_pace(self.binary_params(0.75, 0.5), CellCovariance.zero(),
+        est = estimate_pace(self.binary_params(0.75, 0.5), CellCovariance(np.zeros(11)),
                             scale="logit")
         assert est.tau == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_out_of_unit_interval(self):
         with pytest.raises(MuOutOfUnitIntervalError):
-            estimate_pace(self.binary_params(2.0, 1.0), CellCovariance.zero(), scale="logit")
+            estimate_pace(self.binary_params(2.0, 1.0), CellCovariance(np.zeros(11)), scale="logit")
 
     def test_chain_rule_against_finite_difference_of_logit(self):
         arr, _ = generate(DgpConfig(n=6000, case=1), seed=36)

@@ -3,9 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from brokenrct.comparators import estimate, itt_at_pp, tsls_survivors
+from brokenrct.comparators import METHODS, estimate, itt_at_pp, tsls_survivors
+from brokenrct.errors import DesignError
 from brokenrct.estimation import estimate_pace, fit_cell_params
-from brokenrct.estimators import PaceEstimator, SurvivorContrast, TwoStageLeastSquares
+from brokenrct.estimators import (
+    PaceEstimator,
+    SurvivorContrast,
+    TwoStageLeastSquares,
+    analyze_dataset,
+)
 from brokenrct.imputation import impute_within_cells
 from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
@@ -99,6 +105,11 @@ class TestPaceEstimatorFit:
         a = PaceEstimator(impute=np.int64(3), seed=4).fit(damaged)
         assert a.pooled_ == PaceEstimator(impute=3, seed=4).fit(damaged).pooled_
 
+    def test_single_arm_is_a_design_error(self):
+        one_arm = np.asarray([(1, d, 1, 1, 1, 1.0) for d in (0, 1)] * 5, dtype=float)
+        with pytest.raises(DesignError, match="^validation failure: single assignment arm$"):
+            PaceEstimator().fit(one_arm)
+
     def test_logit_scale_on_binary_outcomes(self, sample):
         arr = sample.copy()
         keep = arr[:, 3] == 1
@@ -123,6 +134,15 @@ class TestComparatorWrappers:
         expected = itt_at_pp(sample, method)
         assert est.tau_ == expected.tau
         assert est.se_ == expected.se
+
+
+def test_analysis_record_estimates_each_method_on_its_cells(sample):
+    damaged = delete_survival_mcar(delete_outcomes_mcar(sample, 0.2, seed=8), 0.1, seed=9)
+    analysis = analyze_dataset(damaged, METHODS, level=0.9)
+    assert analysis.cells.n_records == len(damaged) == analysis.validation.n_records
+    assert list(analysis.estimates) == list(METHODS)
+    for method in METHODS:
+        assert analysis.estimates[method] == estimate(analysis.cells, method, level=0.9)
 
 
 def test_callers_array_is_never_modified(sample):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from brokenrct.errors import (
     DenominatorDegenerateError,
     IdentificationWarning,
-    ReductionPreconditionError,
     WeakDenominatorWarning,
 )
 from brokenrct.estimation import estimate_pace, fit_cell_params
@@ -23,6 +22,7 @@ from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
 
 from helpers import (
+    ReductionPreconditionError,
     SurvivalMonotonicityWarning,
     case1_params_oracle,
     cl_proportion_under_monotonicity,
@@ -49,11 +49,11 @@ class TestStrataProportions:
 
     def test_benchmark_uptake(self):
         p = strata_proportions(flat_params(0.30, 0.58))
-        assert p.as_tuple() == pytest.approx((0.30, 0.28, 0.42), abs=1e-12)
+        assert (p.p_a, p.p_c, p.p_n) == pytest.approx((0.30, 0.28, 0.42), abs=1e-12)
 
     def test_perfect_compliance(self):
         p = strata_proportions(flat_params(0.0, 1.0))
-        assert p.as_tuple() == (0.0, 1.0, 0.0)
+        assert (p.p_a, p.p_c, p.p_n) == (0.0, 1.0, 0.0)
 
     def test_rejects_reversed_uptake(self):
         with pytest.raises(DenominatorDegenerateError):

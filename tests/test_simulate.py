@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -31,6 +32,8 @@ from helpers import (
     dgp_configs,
     outcome,
     pace_denominators_twin,
+    stratum_labels,
+    survived_complier,
     true_pace_reference,
 )
 
@@ -77,7 +80,7 @@ class TestGenerate:
 
     def test_strata_frequencies(self):
         _, pot = generate(DgpConfig(n=1_000_000, case=1), seed=65)
-        labels = pot.stratum_labels()
+        labels = stratum_labels(pot)
         always = np.isin(labels, ("al", "ad")).mean()
         compliers = np.isin(labels, ("cl", "cp", "ch", "cd")).mean()
         never = np.isin(labels, ("nl", "nd")).mean()
@@ -149,7 +152,7 @@ class TestTruePace:
 
     def test_survived_complier_gap_case1(self):
         _, pot = generate(DgpConfig(n=400_000, case=1), seed=68)
-        keep = pot.survived_complier
+        keep = survived_complier(pot)
         assert (pot.y1[keep] - pot.y0[keep]).mean() == pytest.approx(1.0, abs=0.02)
 
 
@@ -197,9 +200,45 @@ class TestRunStudy:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         run_study(cases=(1, 2), sizes=(100, 200), reps=4, estimators=("tsls",),
                   seed=8, oracle_n=10_000, n_jobs=n_jobs)
         assert len(started) == pools
+
+    def test_workers_are_capped_by_usable_cpus_and_tasks(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        cpus = [2]
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus[0])
+        kwargs = dict(cases=(1, 2), sizes=(100, 200), reps=9, estimators=("pace", "tsls"),
+                      seed=8, oracle_n=10_000)
+        serial = run_study(n_jobs=1, **kwargs)
+        assert opened == []
+        assert run_study(n_jobs=64, **kwargs).rows == serial.rows
+        assert opened == [2]
+        # eight CPUs, but 2 reps at n_jobs 64 make two tasks, and 1 rep one
+        cpus[0] = 8
+        for reps in (2, 1):
+            run_study(cases=(1,), sizes=(100,), reps=reps, estimators=("tsls",),
+                      seed=8, oracle_n=10_000, n_jobs=64)
+        assert opened == [2, 2]
+
+    def test_usable_cpus(self):
+        assert 1 <= simulate._usable_cpus() <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("field,value", [
         ("seed", True), ("seed", -1), ("reps", True), ("reps", 0), ("reps", -3),
