@@ -3,7 +3,8 @@
 Exit codes: 0 success; 2 design-validation failure (a
 :class:`~brokenrct.errors.DesignError`, printed as "validation failure: ...")
 or a hot-deck cell with no donor; 3 estimation failure; 4 I/O, schema or
-configuration failure, an incomplete ``--completed-dir`` file included.
+configuration failure, a ``--completed-dir`` file that is incomplete or
+does not complete the input included.
 All output is deterministic given the inputs and seed: reports embed the
 package version, the seed and a configuration digest, never timestamps.
 """

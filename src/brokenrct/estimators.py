@@ -29,7 +29,8 @@ def analyze_dataset(arr, methods=("pace",), level: float = 0.95, scale: str = "i
     """The :class:`Analysis` of ``arr``, a validated (n, 6) array: ingest it and
     check the design, which raises :class:`~brokenrct.errors.DesignError` or
     warns of a weak first stage before anything else warns; draw ``impute`` = m
-    hot-deck imputations from ``seed``, or read ``completed_dir``, when asked;
+    hot-deck imputations from ``seed``, or read ``completed_dir``, whose every
+    file must complete ``arr``, when asked;
     fit the complete-case cells once, take the strata proportions and then
     complier survival, and estimate each method on the cells or pooled over
     the completed cells.
@@ -45,7 +46,7 @@ def analyze_dataset(arr, methods=("pace",), level: float = 0.95, scale: str = "i
         completed = imputation._completed_cells(arr, cells, impute, seed)
     elif completed_dir is not None:
         completed = [cells_from_arrays(*done.T)
-                     for done in imputation.read_completed_dir(completed_dir)]
+                     for done in imputation._read_completions(completed_dir, arr)]
     params, cov = fit_cell_params(cells)
     strata, survival = identify.strata_proportions(params), identify.complier_survival(params)
     estimates = {}

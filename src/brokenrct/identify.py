@@ -152,12 +152,12 @@ def pace_denominators(params: CellParams) -> tuple[float, float]:
     return float(den[1]), float(den[0])
 
 
-def identify_arms(params: CellParams, warn: bool = True) -> tuple[np.ndarray, ...]:
+def identify_arms(params: CellParams) -> tuple[np.ndarray, ...]:
     """Both arms at once: (weight, mass, den) of :func:`survivor_masses` and
     mu[d] = (mass[1, d] * mean_y[1, d] - mass[0, d] * mean_y[0, d]) / den[d].
 
     For one dataset, arm 1, then arm 0, raises when its denominator is
-    numerically degenerate and, if ``warn``, warns when it is merely small;
+    numerically degenerate and warns when it is merely small;
     :func:`denominator_reason` codes that for a stack."""
     weight, mass, den = survivor_masses(params)
     if den.ndim == 1:
@@ -167,7 +167,7 @@ def identify_arms(params: CellParams, warn: bool = True) -> tuple[np.ndarray, ..
                     f"arm-{arm} mixing denominator is degenerate ({den[arm]:.3e}); "
                     "the survived-complier mean for this arm is not identified"
                 )
-            if warn and abs(den[arm]) < DENOMINATOR_WARN_TOLERANCE:
+            if abs(den[arm]) < DENOMINATOR_WARN_TOLERANCE:
                 warnings.warn(
                     f"arm-{arm} mixing denominator is small ({den[arm]:.3e}); "
                     "estimates may be unstable",

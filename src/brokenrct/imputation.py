@@ -6,9 +6,10 @@ from the cell's observed outcomes.  This is the weakest imputation model
 consistent with missingness-at-random inside (z, d) cells: it adds no
 parametric assumptions.  The draws are planned from the cell statistics:
 every count comes from :class:`~brokenrct.records.CellStatistics`, and
-only each cell's sorted donors, :func:`~brokenrct.records.cell_outcomes`,
-are read from the rows.  Model-based imputations can be supplied instead
-as a directory of completed CSV datasets.
+only each cell's sorted donors, which the one row-to-cell reduction of
+:mod:`~brokenrct.records` returns with the cells, are read from the rows.
+Model-based imputations can be supplied instead as a directory of
+completed CSV datasets.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .records import (
     CellStatistics,
     _cells_and_donors,
     as_array,
-    cell_outcomes,
     outcome_moments,
     read_csv,
 )
@@ -99,15 +99,15 @@ def _completed_cells(arr: np.ndarray, cells: CellStatistics, m: int,
     """The cell statistics of the m datasets of ``impute_within_cells(arr, m, seed)``.
 
     ``arr`` is an already validated array and ``cells`` its statistics; no
-    completed dataset is built, and only the donors of
-    :func:`~brokenrct.records.cell_outcomes` are read from the rows.  In each
+    completed dataset is built, and only each cell's sorted donors are read
+    from the rows, by the reduction behind ``cells``.  In each
     completed cell every survival status is observed, the survivors are the
     observed ones plus the drawn ones, and the outcomes are each donor once
     plus once per draw of it.  Those outcomes, in sorted order, are the ones
     that :func:`~brokenrct.records.cells_from_arrays` would sort, so every
     field is bit-identical to its result on the completed dataset.
     """
-    donors = cell_outcomes(*arr.T)
+    donors = _cells_and_donors(*arr.T)[1]
     completed = []
     for draws in _draws(cells, donors, m, seed):
         drawn = np.array([np.count_nonzero(alive) for alive, _ in draws]).reshape(2, 2)
@@ -174,6 +174,15 @@ def pool_estimates(estimates, level: float = 0.95) -> PooledEstimate:
 def read_completed_dir(path) -> list[np.ndarray]:
     """Load externally completed datasets (one CSV per imputation); a file
     missing a survival status or a survivor's outcome raises ``SchemaError``."""
+    return _read_completions(path)
+
+
+def _read_completions(path, original=None) -> list[np.ndarray]:
+    """:func:`read_completed_dir`, and when ``original`` is given, each file
+    checked to complete it: the same number of records, the same z and d,
+    every s that ``original`` observes and, to a relative 1e-12 (so that 15
+    significant digits suffice), every y it observes.  The first file that
+    does not raises ``SchemaError`` naming it and the first differing record."""
     files = sorted(Path(path).glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no CSV files found in {path}")
@@ -184,5 +193,21 @@ def read_completed_dir(path) -> list[np.ndarray]:
             raise SchemaError(f"{f}: completed dataset has missing survival")
         if ((arr[:, 3] == 1) & (arr[:, 4] == 0)).any():
             raise SchemaError(f"{f}: completed dataset has missing outcomes")
+        if original is not None:
+            _check_completes(f, arr, original)
         datasets.append(arr)
     return datasets
+
+
+def _check_completes(f, arr: np.ndarray, original: np.ndarray) -> None:
+    if len(arr) != len(original):
+        raise SchemaError(f"{f}: completed dataset has {len(arr)} records, "
+                          f"the input has {len(original)}")
+    z, d, _, s, _, y = arr.T
+    z0, d0, delta_s0, s0, _, y0 = original.T
+    observed_y = ~np.isnan(y0)
+    for name, differs in (("z", z != z0), ("d", d != d0), ("s", (delta_s0 == 1) & (s != s0)),
+                          ("y", observed_y & ~np.isclose(y, y0, rtol=1e-12, atol=0.0))):
+        if differs.any():
+            raise SchemaError(f"{f}: completed dataset does not complete the input: "
+                              f"{name} differs at record {int(differs.argmax())}")

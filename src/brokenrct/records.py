@@ -166,40 +166,41 @@ def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
 
     The columns are taken as valid (see :func:`as_array`); empty input is
     rejected.  Each record counts towards cell ``2 z + d`` of :data:`CELLS`,
-    and the outcome moments are those of :func:`cell_outcomes`.
+    and the outcome moments are those of each cell's observed survivors'
+    outcomes, in sorted order (:func:`_reduce_rows`).
     """
     return _cells_and_donors(z, d, delta_s, s, delta_y, y)[0]
 
 
 def _cells_and_donors(z, d, delta_s, s, delta_y, y) -> tuple[CellStatistics, list[np.ndarray]]:
-    """:func:`cells_from_arrays` and the hot-deck donors, the :func:`cell_outcomes` it sorts."""
+    """:func:`cells_from_arrays` and the hot-deck donors, each cell's sorted
+    observed-survivor outcomes, from one :func:`_reduce_rows` of the columns."""
     z, d, delta_s, s, delta_y, y = (np.asarray(col, dtype=float)
                                     for col in (z, d, delta_s, s, delta_y, y))
     if z.size == 0:
         raise ValueError("no records to ingest")
-    key = (2 * z + d).astype(np.int64)
-    observed_s = delta_s == 1
-
-    def per_cell(weights=None):
-        return np.bincount(key, weights, minlength=len(CELLS)).astype(np.int64).reshape(2, 2)
-
-    count = per_cell()
-    surv_obs = per_cell(observed_s)
-    surv_pos = per_cell(observed_s & (s == 1))
-    donors = cell_outcomes(z, d, delta_s, s, delta_y, y)
-    return CellStatistics(count, surv_obs, surv_pos, count - surv_obs,
-                          *outcome_moments(donors)), donors
+    survived = s == 1
+    # valid columns: s = 1 only where observed, and a missing s is nan
+    kind = np.int8(2) * ~survived + (delta_s == 0) + (survived & (delta_y == 0))
+    return _reduce_rows(z == 1, d == 1, kind, y)
 
 
-def cell_outcomes(z, d, delta_s, s, delta_y, y) -> list[np.ndarray]:
-    """The outcomes of each cell's observed survivors, sorted, in :data:`CELLS` order.
-
-    The columns are valid parallel arrays (nan = missing).  These outcomes
-    are the donors of the within-cell hot deck.
+def _reduce_rows(z, d, kind, y) -> tuple[CellStatistics, list[np.ndarray]]:
+    """Cell statistics and each cell's sorted donors from rows of boolean z
+    and d, int8 kind and outcome y (read where kind is 0): 0 a survivor with
+    an observed outcome, 1 one without, 2 an observed death, 3 a missing
+    survival status.  The int8 key ``2 z + d + 4 kind`` gives every count by
+    one ``bincount``; one stable (radix) sort of it puts the kind-0 rows
+    first, cell by cell, and each cell's outcomes are then sorted.
     """
-    observed = (delta_y == 1) & (delta_s == 1) & (s == 1)
-    key = 2 * z + d
-    return [np.sort(y[observed & (key == k)]) for k in range(len(CELLS))]
+    key = np.int8(4) * kind + np.int8(2) * z + d
+    observed, lacking_y, dead, missing_s = np.bincount(key, minlength=16).reshape(4, 2, 2)
+    ends = np.cumsum(observed).tolist()
+    by_cell = y[np.argsort(key, kind="stable")[:ends[-1]]]
+    donors = [np.sort(by_cell[start:end]) for start, end in zip([0] + ends, ends)]
+    count = observed + lacking_y + dead + missing_s
+    return CellStatistics(count, count - missing_s, observed + lacking_y, missing_s,
+                          *outcome_moments(donors)), donors
 
 
 def as_array(records) -> np.ndarray:

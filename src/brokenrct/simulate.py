@@ -29,7 +29,7 @@ import numpy as np
 
 from .comparators import METHODS, estimate
 from .errors import EstimationError, Reason
-from .records import CELLS, CellStatistics, outcome_moments
+from .records import CellStatistics, _reduce_rows
 
 CASES = (1, 2, 3, 4)
 
@@ -189,20 +189,11 @@ def generate(config: DgpConfig, seed) -> tuple[np.ndarray, PotentialData]:
 
 def _replication_cells(config: DgpConfig, seed) -> CellStatistics:
     """The cell statistics of ``generate(config, seed)``'s dataset, bit for
-    bit, without building it: every record has an observed survival and
-    outcome, so the survivors' outcomes are grouped by cell with one stable
-    sort and reduced by :func:`~brokenrct.records.outcome_moments`."""
+    bit, without building it: every survival status and every survivor's
+    outcome is observed, so each row is of kind 0 (a survivor) or 2 (a death)
+    in the one row-to-cell reduction, :func:`~brokenrct.records._reduce_rows`."""
     _, z, d, s, y = _observe(config, seed)
-    # key 2z + d is a survivor's cell and 4 + 2z + d anyone else's: one stable
-    # (radix, as the key is int8) sort puts the survivors first, by cell
-    key = z * np.int8(2) + d + np.int8(4) * ~s
-    survived, dead = np.bincount(key, minlength=2 * len(CELLS)).reshape(2, 2, 2)
-    ends = np.cumsum(survived).tolist()
-    by_cell = y[np.argsort(key, kind="stable")[:ends[-1]]]
-    cell_ys = [np.sort(by_cell[start:end]) for start, end in zip([0] + ends, ends)]
-    count = survived + dead
-    return CellStatistics(count, count.copy(), survived, np.zeros_like(count),
-                          *outcome_moments(cell_ys))
+    return _reduce_rows(z, d, np.int8(2) * ~s, y)[0]
 
 
 def true_pace(config: DgpConfig, oracle_n: int = 1_000_000, seed=2718281828) -> float:
@@ -242,9 +233,6 @@ class SimulationReport:
     """Per-(case, size, estimator) bias / SD / mean SE / coverage."""
 
     rows: list
-    seed: int
-    reps: int
-    oracle_n: int
 
     def row(self, case: int, n: int, estimator: str) -> StudyRow:
         for r in self.rows:
@@ -415,7 +403,7 @@ def run_study(
                 cp=(float(((lower[fit] <= truth) & (truth <= upper[fit])).mean())
                     if taus.size else float("nan")),
             ))
-    return SimulationReport(rows=rows, seed=seed, reps=reps, oracle_n=oracle_n)
+    return SimulationReport(rows=rows)
 
 
 def _usable_cpus() -> int:

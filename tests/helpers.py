@@ -535,7 +535,9 @@ def gradient_mu(params, arm):
     which the criterion-4 tests hold to central finite differences."""
     if arm not in (0, 1):
         raise ValueError("arm must be 0 or 1")
-    return _gradient(params, *identify_arms(params, warn=False))[..., arm, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakDenominatorWarning)
+        return _gradient(params, *identify_arms(params))[..., arm, :]
 
 
 def gradient_mu_twin(params, arm):

@@ -47,6 +47,7 @@ from helpers import (
 )
 
 STUDY_SEED = 20260809
+STUDY_REPS = 2000
 #: Monte Carlo tolerances of criterion 5, in standard errors of the study
 MC_SE_MULTIPLE = 3.0
 #: paired bootstrap of the n=500 SD gap: resamples and generator seed
@@ -62,7 +63,7 @@ def report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def table2():
-    return run_study(cases=(1, 2, 3, 4), sizes=(500, 2000, 8000), reps=2000,
+    return run_study(cases=(1, 2, 3, 4), sizes=(500, 2000, 8000), reps=STUDY_REPS,
                      estimators=("pace", "tsls"), seed=STUDY_SEED,
                      oracle_n=2_000_000, n_jobs=2)
 
@@ -238,7 +239,7 @@ def test_criterion_5_sd_dominance_property(table2):
     rng = np.random.default_rng(SD_BOOT_SEED)
     for case in (1, 2, 3, 4):
         # n=500 is the study's first size, hence size index 0
-        taus = replicate_estimates(case, 0, 500, table2.reps, table2.seed)
+        taus = replicate_estimates(case, 0, 500, STUDY_REPS, STUDY_SEED)
         pace_sd, tsls_sd = sd_pair(taus)
         assert (pace_sd, tsls_sd) == (table2.row(case, 500, "pace").sd,
                                       table2.row(case, 500, "tsls").sd), case

@@ -335,6 +335,49 @@ class TestAnalyze:
         assert (code, out) == (4, "")
         assert err == f"error: {folder / 'imp1.csv'}: completed dataset has missing {lacking}\n"
 
+    def test_completions_of_another_file_exit_4(self, capsys, tmp_path):
+        from brokenrct.imputation import impute_within_cells
+
+        data, other = (delete_outcomes_mcar(generate(DgpConfig(n=2000, case=case), seed)[0],
+                                            0.15, seed=15)
+                       for case, seed in ((1, 1), (2, 2)))
+        data_path = tmp_path / "case1.csv"
+        write_csv(data_path, data)
+        folder = tmp_path / "good"
+        folder.mkdir()
+        for i, dataset in enumerate(impute_within_cells(other, 3, seed=1)):
+            write_csv(folder / f"imp{i}.csv", dataset)
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(data_path),
+                                          "--completed-dir", str(folder)])
+        assert (code, out) == (4, "")
+        first = int(np.argmax(data[:, 0] != other[:, 0]))
+        assert err == (f"error: {folder / 'imp0.csv'}: completed dataset does not complete "
+                       f"the input: z differs at record {first}\n")
+
+    def test_a_changed_observed_outcome_exits_4(self, capsys, tmp_path):
+        from brokenrct.imputation import impute_within_cells
+
+        arr, _ = generate(DgpConfig(n=1500, case=2), seed=86)
+        damaged = delete_survival_mcar(delete_outcomes_mcar(arr, 0.15, seed=16), 0.05, seed=17)
+        data_path = tmp_path / "data.csv"
+        write_csv(data_path, damaged)
+        folder = tmp_path / "completed"
+        folder.mkdir()
+        first, second, third = impute_within_cells(damaged, 3, seed=2)
+        # 15 significant digits keep every observed y within a relative 1e-12
+        (folder / "imp0.csv").write_text("z,d,delta_s,s,delta_y,y\n" + "".join(
+            ",".join("" if np.isnan(v) else f"{v:.15g}" for v in row) + "\n"
+            for row in first.tolist()))
+        changed = int(np.flatnonzero(~np.isnan(damaged[:, 5]))[5])
+        second[changed, 5] *= 1 + 1e-9
+        write_csv(folder / "imp1.csv", second)
+        write_csv(folder / "imp2.csv", third)
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(data_path),
+                                          "--completed-dir", str(folder)])
+        assert (code, out) == (4, "")
+        assert err == (f"error: {folder / 'imp1.csv'}: completed dataset does not complete "
+                       f"the input: y differs at record {changed}\n")
+
     def test_weak_instrument_is_the_first_warning(self, capsys, weak_csv):
         code, out, _ = run_cli(capsys, ["analyze", "--input", str(weak_csv),
                                         "--weak-threshold", "0.5", "--format", "json"])
@@ -596,7 +639,8 @@ class TestAnalyzeGolden:
     """``analyze`` and ``effect-series`` bytes on tests/data/analyze-golden/.
 
     The inputs are a case-2 file (n = 2000, seed 1, about 5% of s and 15% of
-    y deleted) and a 10-row single-arm file.  Each expected output is what
+    y deleted), a 10-row single-arm file and ``mismatch/``, a completed
+    directory whose one file is that 10-row file.  Each expected output is what
     the command line below printed, run from the repository root with these
     relative paths; a deliberate change to these outputs regenerates them in
     the same commit.
@@ -604,6 +648,7 @@ class TestAnalyzeGolden:
 
     GOLDEN = Path("tests/data/analyze-golden")
     CASE2, ONEARM = str(GOLDEN / "case2.csv"), str(GOLDEN / "onearm.csv")
+    MISMATCH = str(GOLDEN / "mismatch")
     FIVE = [arg for method in comparators.METHODS for arg in ("--method", method)]
 
     @pytest.fixture(autouse=True)
@@ -627,3 +672,10 @@ class TestAnalyzeGolden:
         assert out == ""
         assert err.encode() == (self.GOLDEN / "onearm.err").read_bytes()
         assert f"{code}\n".encode() == (self.GOLDEN / "onearm.exit").read_bytes()
+
+    def test_completions_of_another_file(self, capsys):
+        code, out, err = run_cli(capsys, ["analyze", "--input", self.CASE2,
+                                          "--completed-dir", self.MISMATCH])
+        assert out == ""
+        assert err.encode() == (self.GOLDEN / "mismatch.err").read_bytes()
+        assert f"{code}\n".encode() == (self.GOLDEN / "mismatch.exit").read_bytes()

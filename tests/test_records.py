@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from brokenrct.errors import InvalidRecordError, SchemaError
 from brokenrct.estimation import fit_cell_params
 from brokenrct.records import (
+    CELLS,
     STRATA,
     ObservationRecord,
+    _cells_and_donors,
     _read_csv_lines,
     _read_plain_csv,
     as_array,
@@ -471,3 +473,8 @@ def cell_fields(ingest_columns, arr):
 @given(arr=damaged_datasets(min_rows=1, max_rows=40))
 def test_cells_from_arrays_matches_reference(arr):
     assert cell_fields(cells_from_arrays, arr) == cell_fields(cells_from_arrays_reference, arr)
+    z, d, delta_s, s, delta_y, y = arr.T
+    observed = (delta_s == 1) & (s == 1) & (delta_y == 1)
+    assert [(pool.dtype, pool.tobytes()) for pool in _cells_and_donors(*arr.T)[1]] == [
+        (ys.dtype, ys.tobytes())
+        for ys in (np.sort(y[observed & (z == zz) & (d == dd)]) for zz, dd in CELLS)]

@@ -343,7 +343,7 @@ def test_renderers_on_a_hand_built_report(tmp_path):
         StudyRow(1, 100, "pace", 10, 10, 1.0, nan, nan, nan, nan),
         # a repeated (case, n, estimator) is written out but not tabulated
         StudyRow(2, 500, "tsls", 10, 0, 0.5, 9.0, 9.0, 9.0, 0.0),
-    ], seed=1, reps=10, oracle_n=100)
+    ])
     path = tmp_path / "report.csv"
     report.to_csv(path)
     assert path.read_bytes() == (
