@@ -52,8 +52,6 @@ from .imputation import (
 from .records import (
     CellStatistics,
     ObservationRecord,
-    PrincipalStratum,
-    STRATA,
     ValidationReport,
     cells_from_arrays,
     ingest,
@@ -85,8 +83,6 @@ __all__ = [
     "PaceEstimator",
     "PooledEstimate",
     "PotentialData",
-    "PrincipalStratum",
-    "STRATA",
     "SchemaError",
     "SimulationReport",
     "StrataProportions",

@@ -6,8 +6,8 @@ from the cell's observed outcomes.  This is the weakest imputation model
 consistent with missingness-at-random inside (z, d) cells: it adds no
 parametric assumptions.  The draws are planned from the cell statistics:
 every count comes from :class:`~brokenrct.records.CellStatistics`, and
-only each cell's sorted donors, which the one row-to-cell reduction of
-:mod:`~brokenrct.records` returns with the cells, are read from the rows.
+each cell's sorted donors and the rows the draws are written to come from
+the one row-to-cell reduction of :mod:`~brokenrct.records`.
 Model-based imputations can be supplied instead as a directory of
 completed CSV datasets.
 """
@@ -68,26 +68,25 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     row that now has s = 1 but no outcome; a record whose imputed survival
     is 0 keeps an undefined outcome.  Draws are independent across
     imputations.  Raises :class:`NoDonorsError` when a cell contains a
-    missing value but no observed donor for that variable.
+    missing value but no observed donor for that variable.  The rows of
+    each cell are those of the reduction that ingests the input.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     arr = as_array(records)
     if not len(arr):  # nothing to draw, and cells_from_arrays rejects empty input
         return [arr.copy() for _ in range(m)]
-    cells, donors = _cells_and_donors(*arr.T)
-    z, d, delta_s, s, delta_y, _ = arr.T
-    may_need_y = (delta_s == 0) | ((s == 1) & (delta_y == 0))
-    cell_rows = [(z == zz) & (d == dd) for zz, dd in CELLS]
-    s_rows = [np.flatnonzero(rows & (delta_s == 0)) for rows in cell_rows]
-    y_rows = [np.flatnonzero(rows & may_need_y) for rows in cell_rows]
+    cells, donors, rows_of = _cells_and_donors(*arr.T)
+    # each cell's survivors lacking y (kind 1) and rows missing s (kind 3)
+    lacking_y, missing_s = rows_of(1), rows_of(3)
     completed = []
     for draws in _draws(cells, donors, m, seed):
         out = arr.copy()
         out[:, 2] = 1.0
-        for s_at, y_at, pool, (alive, picks) in zip(s_rows, y_rows, donors, draws):
+        for y_at, s_at, pool, (alive, picks) in zip(lacking_y, missing_s, donors, draws):
             out[s_at, 3] = alive
-            rows = y_at[out[y_at, 3] == 1]
+            # the donor draws are bound to the rows needing y in row order
+            rows = np.sort(np.concatenate((y_at, s_at[alive])))
             out[rows, 4] = 1.0
             out[rows, 5] = pool[picks]
         completed.append(out)

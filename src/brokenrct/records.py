@@ -1,4 +1,4 @@
-"""Observation records, principal-stratum taxonomy and cell statistics.
+"""Observation records and cell statistics.
 
 A study record carries the assignment Z, the received treatment D, the
 survival indicator S (observed when ``delta_s = 1``) and the outcome Y
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,35 +41,6 @@ class ObservationRecord:
     delta_y: int
     y: float | None
 
-
-@dataclass(frozen=True)
-class PrincipalStratum:
-    """A row of the compliance-by-survival stratum taxonomy.
-
-    ``d1``/``d0`` are the potential treatments; ``s1``/``s0`` the potential
-    survival statuses, ``None`` where undefined for the stratum.
-    """
-
-    label: str
-    d1: int
-    d0: int
-    s1: int | None
-    s0: int | None
-    description: str
-
-
-#: The eight strata: no defiers, and survival defined only under the arm(s)
-#: the stratum can actually receive.
-STRATA = (
-    PrincipalStratum("al", 1, 1, 1, None, "survived always-takers"),
-    PrincipalStratum("ad", 1, 1, 0, None, "dead always-takers"),
-    PrincipalStratum("cl", 1, 0, 1, 1, "survived compliers"),
-    PrincipalStratum("cp", 1, 0, 1, 0, "protected compliers"),
-    PrincipalStratum("ch", 1, 0, 0, 1, "harmed compliers"),
-    PrincipalStratum("cd", 1, 0, 0, 0, "doomed compliers"),
-    PrincipalStratum("nl", 0, 0, None, 1, "survived never-takers"),
-    PrincipalStratum("nd", 0, 0, None, 0, "dead never-takers"),
-)
 
 @dataclass
 class CellStatistics:
@@ -172,9 +144,9 @@ def cells_from_arrays(z, d, delta_s, s, delta_y, y) -> CellStatistics:
     return _cells_and_donors(z, d, delta_s, s, delta_y, y)[0]
 
 
-def _cells_and_donors(z, d, delta_s, s, delta_y, y) -> tuple[CellStatistics, list[np.ndarray]]:
-    """:func:`cells_from_arrays` and the hot-deck donors, each cell's sorted
-    observed-survivor outcomes, from one :func:`_reduce_rows` of the columns."""
+def _cells_and_donors(z, d, delta_s, s, delta_y, y) -> tuple[CellStatistics, list, Callable]:
+    """:func:`cells_from_arrays`, the hot-deck donors and ``rows_of``, from
+    one :func:`_reduce_rows` of the columns."""
     z, d, delta_s, s, delta_y, y = (np.asarray(col, dtype=float)
                                     for col in (z, d, delta_s, s, delta_y, y))
     if z.size == 0:
@@ -185,22 +157,31 @@ def _cells_and_donors(z, d, delta_s, s, delta_y, y) -> tuple[CellStatistics, lis
     return _reduce_rows(z == 1, d == 1, kind, y)
 
 
-def _reduce_rows(z, d, kind, y) -> tuple[CellStatistics, list[np.ndarray]]:
-    """Cell statistics and each cell's sorted donors from rows of boolean z
-    and d, int8 kind and outcome y (read where kind is 0): 0 a survivor with
-    an observed outcome, 1 one without, 2 an observed death, 3 a missing
-    survival status.  The int8 key ``2 z + d + 4 kind`` gives every count by
-    one ``bincount``; one stable (radix) sort of it puts the kind-0 rows
-    first, cell by cell, and each cell's outcomes are then sorted.
+def _reduce_rows(z, d, kind, y) -> tuple[CellStatistics, list, Callable]:
+    """The one row-to-cell grouping: cell statistics, each cell's sorted
+    donors and ``rows_of``, from rows of boolean z and d, int8 kind and
+    outcome y (read where kind is 0): 0 a survivor with an observed outcome,
+    1 one without, 2 an observed death, 3 a missing survival status.  The
+    int8 key ``2 z + d + 4 kind`` gives every count by one ``bincount``; one
+    stable (radix) sort of it lists the rows key by key, in row order within
+    a key.  The kind-0 rows come first, cell by cell; sorted per cell, their
+    outcomes are the donors.  ``rows_of(kind)`` slices each cell's rows of a
+    kind out of the sort; only the hot deck calls it.
     """
     key = np.int8(4) * kind + np.int8(2) * z + d
-    observed, lacking_y, dead, missing_s = np.bincount(key, minlength=16).reshape(4, 2, 2)
-    ends = np.cumsum(observed).tolist()
-    by_cell = y[np.argsort(key, kind="stable")[:ends[-1]]]
-    donors = [np.sort(by_cell[start:end]) for start, end in zip([0] + ends, ends)]
+    counts = np.bincount(key, minlength=16)
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends
+    order = np.argsort(key, kind="stable")
+    by_cell = y[order[:ends[3]]]
+    donors = [np.sort(by_cell[starts[c]:ends[c]]) for c in range(4)]
+    observed, lacking_y, dead, missing_s = counts.reshape(4, 2, 2)
     count = observed + lacking_y + dead + missing_s
+
+    def rows_of(k):
+        return [order[starts[4 * k + c]:ends[4 * k + c]] for c in range(4)]
     return CellStatistics(count, count - missing_s, observed + lacking_y, missing_s,
-                          *outcome_moments(donors)), donors
+                          *outcome_moments(donors)), donors, rows_of
 
 
 def as_array(records) -> np.ndarray:
@@ -262,13 +243,11 @@ def _check_records(arr: np.ndarray) -> None:
 
 @dataclass
 class ValidationReport:
-    """Design diagnostics: arm presence, first-stage strength, cell sizes."""
+    """Design diagnostics: first-stage strength, cell sizes, failures and warnings."""
 
     n_records: int
-    arms_present: bool
     first_stage: float | None
     weak_instrument: bool
-    threshold: float
     cell_counts: dict
     failures: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -287,13 +266,8 @@ def validate_design(records,
     """
     cells = ingest(records)
     failures, warns = [], []
-    n1, n0 = cells.arm_count(1), cells.arm_count(0)
-    arms = n1 > 0 and n0 > 0
-    if not arms:
-        failures.append("single assignment arm")
-    first_stage = None
-    weak = False
-    if arms:
+    first_stage, weak = None, False
+    if cells.arm_count(1) and cells.arm_count(0):
         first_stage = cells.take_rate(1) - cells.take_rate(0)
         weak = abs(first_stage) < weak_threshold
         if weak:
@@ -301,6 +275,8 @@ def validate_design(records,
                 f"weak instrument: first-stage difference {first_stage:.4f} "
                 f"below threshold {weak_threshold:g}"
             )
+    else:
+        failures.append("single assignment arm")
     counts = {}
     for zz, dd in CELLS:
         counts[(zz, dd)] = {
@@ -312,10 +288,8 @@ def validate_design(records,
         }
     return ValidationReport(
         n_records=cells.n_records,
-        arms_present=arms,
         first_stage=first_stage,
         weak_instrument=weak,
-        threshold=weak_threshold,
         cell_counts=counts,
         failures=failures,
         warnings=warns,

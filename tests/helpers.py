@@ -16,7 +16,8 @@ and the truth drawn through the whole of ``generate`` is the reference for
 the one drawn from the potential outcomes alone.  The special-case
 reductions (no truncation, perfect compliance, complete data) and the
 survived-complier share under monotonicity are closed forms that the
-tests hold the estimator to.
+tests hold the estimator to.  The principal-stratum taxonomy labels the
+units of the generator's potential table.
 """
 
 import math
@@ -56,7 +57,6 @@ from brokenrct.identify import (
     survivor_masses,
 )
 from brokenrct.records import (
-    STRATA,
     CellStatistics,
     ObservationRecord,
     as_array,
@@ -964,8 +964,38 @@ def survived_complier(potential) -> np.ndarray:
             & (potential.s1 == 1) & (potential.s0 == 1))
 
 
+@dataclass(frozen=True)
+class PrincipalStratum:
+    """A row of the compliance-by-survival stratum taxonomy.
+
+    ``d1``/``d0`` are the potential treatments; ``s1``/``s0`` the potential
+    survival statuses, ``None`` where undefined for the stratum.
+    """
+
+    label: str
+    d1: int
+    d0: int
+    s1: int | None
+    s0: int | None
+    description: str
+
+
+#: The eight strata: no defiers, and survival defined only under the arm(s)
+#: the stratum can actually receive.
+STRATA = (
+    PrincipalStratum("al", 1, 1, 1, None, "survived always-takers"),
+    PrincipalStratum("ad", 1, 1, 0, None, "dead always-takers"),
+    PrincipalStratum("cl", 1, 0, 1, 1, "survived compliers"),
+    PrincipalStratum("cp", 1, 0, 1, 0, "protected compliers"),
+    PrincipalStratum("ch", 1, 0, 0, 1, "harmed compliers"),
+    PrincipalStratum("cd", 1, 0, 0, 0, "doomed compliers"),
+    PrincipalStratum("nl", 0, 0, None, 1, "survived never-takers"),
+    PrincipalStratum("nd", 0, 0, None, 0, "dead never-takers"),
+)
+
+
 def stratum_labels(potential) -> np.ndarray:
-    """Each unit's :data:`~brokenrct.records.STRATA` label; a None survival is not tested."""
+    """Each unit's :data:`STRATA` label; a None survival is not tested."""
     labels = np.empty(potential.z.size, dtype="<U2")
     for stratum in STRATA:
         mask = (potential.d1 == stratum.d1) & (potential.d0 == stratum.d0)

@@ -10,7 +10,6 @@ from brokenrct.errors import InvalidRecordError, SchemaError
 from brokenrct.estimation import fit_cell_params
 from brokenrct.records import (
     CELLS,
-    STRATA,
     ObservationRecord,
     _cells_and_donors,
     _read_csv_lines,
@@ -35,22 +34,6 @@ from helpers import (
 
 def rec(z, d, delta_s, s, delta_y, y):
     return ObservationRecord(z=z, d=d, delta_s=delta_s, s=s, delta_y=delta_y, y=y)
-
-
-def test_stratum_taxonomy():
-    assert len(STRATA) == 8
-    assert len({s.label for s in STRATA}) == 8
-    for stratum in STRATA:
-        assert (stratum.d1, stratum.d0) in {(1, 1), (1, 0), (0, 0)}  # no defiers
-        # survival is defined only under arms the stratum can receive
-        if stratum.d1 == stratum.d0 == 1:
-            assert stratum.s1 in (0, 1) and stratum.s0 is None
-        elif stratum.d1 == stratum.d0 == 0:
-            assert stratum.s0 in (0, 1) and stratum.s1 is None
-        else:
-            assert stratum.s1 in (0, 1) and stratum.s0 in (0, 1)
-    compliers = [s for s in STRATA if (s.d1, s.d0) == (1, 0)]
-    assert len(compliers) == 4
 
 
 def test_one_record_per_cell():
@@ -474,7 +457,13 @@ def cell_fields(ingest_columns, arr):
 def test_cells_from_arrays_matches_reference(arr):
     assert cell_fields(cells_from_arrays, arr) == cell_fields(cells_from_arrays_reference, arr)
     z, d, delta_s, s, delta_y, y = arr.T
-    observed = (delta_s == 1) & (s == 1) & (delta_y == 1)
-    assert [(pool.dtype, pool.tobytes()) for pool in _cells_and_donors(*arr.T)[1]] == [
-        (ys.dtype, ys.tobytes())
-        for ys in (np.sort(y[observed & (z == zz) & (d == dd)]) for zz, dd in CELLS)]
+    survived = (delta_s == 1) & (s == 1)
+    # the kinds of the reduction: 0 observed y, 1 a survivor lacking y, 2 a death, 3 missing s
+    masks = [survived & (delta_y == 1), survived & (delta_y == 0),
+             (delta_s == 1) & (s == 0), delta_s == 0]
+    cells = [(z == zz) & (d == dd) for zz, dd in CELLS]
+    _, donors, rows_of = _cells_and_donors(*arr.T)
+    assert [(pool.dtype, pool.tobytes()) for pool in donors] == [
+        (ys.dtype, ys.tobytes()) for ys in (np.sort(y[masks[0] & cell]) for cell in cells)]
+    assert [[at.tolist() for at in rows_of(kind)] for kind in range(4)] == [
+        [np.flatnonzero(mask & cell).tolist() for cell in cells] for mask in masks]

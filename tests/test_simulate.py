@@ -27,6 +27,7 @@ from brokenrct.simulate import (
 
 from helpers import (
     BROKEN_DGP,
+    STRATA,
     assert_same_outcome,
     case1_params_oracle,
     dgp_configs,
@@ -41,6 +42,22 @@ SEEDS = st.one_of(st.integers(0, 2**64 - 1),
                   st.tuples(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 3),
                             st.integers(0, 2000)).map(
                       lambda key: np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])))
+
+
+def test_stratum_taxonomy():
+    assert len(STRATA) == 8
+    assert len({s.label for s in STRATA}) == 8
+    for stratum in STRATA:
+        assert (stratum.d1, stratum.d0) in {(1, 1), (1, 0), (0, 0)}  # no defiers
+        # survival is defined only under arms the stratum can receive
+        if stratum.d1 == stratum.d0 == 1:
+            assert stratum.s1 in (0, 1) and stratum.s0 is None
+        elif stratum.d1 == stratum.d0 == 0:
+            assert stratum.s0 in (0, 1) and stratum.s1 is None
+        else:
+            assert stratum.s1 in (0, 1) and stratum.s0 in (0, 1)
+    compliers = [s for s in STRATA if (s.d1, s.d0) == (1, 0)]
+    assert len(compliers) == 4
 
 
 class TestGenerate:
