@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EstimationError as exc:

@@ -105,7 +105,8 @@ def check_scale(method: str, scale: str) -> None:
 def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -> Estimate:
     """The effect by ``method``, one of :data:`METHODS`: "pace" is a PaceEstimate on ``scale``.
 
-    A comparator with any scale but "identity" raises ``ValueError``
+    ``cells`` is anything :func:`~brokenrct.records.ingest` accepts.  A
+    comparator with any scale but "identity" raises ``ValueError``
     (:func:`check_scale`).
 
     ``cells`` may also be a :meth:`~brokenrct.records.CellStatistics.stack`,
@@ -116,6 +117,7 @@ def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -
     ``EMPTY_GROUP`` or ``ZERO_FIRST_STAGE`` for the comparators.
     """
     check_scale(method, scale)
+    cells = ingest(cells)
     if method == "pace":
         params, cov = fit_cell_params(cells)
         return estimate_pace(params, cov, level=level, n=cells.count.sum(axis=(-2, -1)),

@@ -113,8 +113,7 @@ def _completed_cells(arr: np.ndarray, cells: CellStatistics, m: int,
         outcomes = [np.repeat(pool, np.bincount(picks, minlength=pool.size) + 1)
                     for pool, (_, picks) in zip(donors, draws)]
         completed.append(CellStatistics(cells.count.copy(), cells.count.copy(),
-                                        cells.surv_pos + drawn, np.zeros_like(cells.miss_s),
-                                        *outcome_moments(outcomes)))
+                                        cells.surv_pos + drawn, *outcome_moments(outcomes)))
     return completed
 
 
@@ -132,9 +131,9 @@ def _draws(cells: CellStatistics, donors: list[np.ndarray], m: int, seed):
     Raises :class:`NoDonorsError`, before any draw, for the first cell that
     contains a missing value but no observed donor for that variable.
     """
-    miss_y = cells.surv_pos - cells.y_count
+    miss_s, miss_y = cells.miss_s, cells.surv_pos - cells.y_count
     for zz, dd in CELLS:
-        if cells.miss_s[zz, dd] and not cells.surv_obs[zz, dd]:
+        if miss_s[zz, dd] and not cells.surv_obs[zz, dd]:
             raise NoDonorsError(f"cell (z={zz}, d={dd}) needs survival imputation "
                                 "but has no observed survival status")
         if miss_y[zz, dd] and not cells.y_count[zz, dd]:
@@ -143,7 +142,7 @@ def _draws(cells: CellStatistics, donors: list[np.ndarray], m: int, seed):
     rate = cells.surv_pos / np.maximum(cells.surv_obs, 1)
     for child in np.random.SeedSequence(seed).spawn(m):
         rng = np.random.default_rng(child)
-        alive = [rng.random(cells.miss_s[cell]) < rate[cell] for cell in CELLS]
+        alive = [rng.random(miss_s[cell]) < rate[cell] for cell in CELLS]
         picks = [rng.integers(0, pool.size, miss_y[cell] + np.count_nonzero(drawn))
                  for cell, pool, drawn in zip(CELLS, donors, alive)]
         yield list(zip(alive, picks))

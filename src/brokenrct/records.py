@@ -49,37 +49,24 @@ class CellStatistics:
     Arrays are indexed ``[z, d]``.  Outcome moments cover survivors with an
     observed outcome only; survival proportions cover records with an
     observed survival status only (the missing-at-random contract).  A
-    :meth:`stack` of R datasets has (R, 2, 2) arrays; the accessors take one.
+    :meth:`stack` of R datasets has (R, 2, 2) arrays.
     """
 
     count: np.ndarray          # all records per (z, d)
     surv_obs: np.ndarray       # records with delta_s = 1
     surv_pos: np.ndarray       # records with delta_s = 1 and s = 1
-    miss_s: np.ndarray         # records with delta_s = 0
     y_count: np.ndarray        # survivors with delta_y = 1
     y_mean: np.ndarray         # complete-case outcome mean (0.0 if no data)
     y_m2: np.ndarray           # sum of squared deviations around y_mean
 
     @property
+    def miss_s(self) -> np.ndarray:
+        """Records with delta_s = 0."""
+        return self.count - self.surv_obs
+
+    @property
     def n_records(self) -> int:
         return int(self.count.sum())
-
-    def n(self, z: int, d: int, s: int) -> int:
-        """Count of records with an observed survival status s in cell (z, d)."""
-        pos = int(self.surv_pos[z, d])
-        return pos if s == 1 else int(self.surv_obs[z, d]) - pos
-
-    def n_missing_s(self, z: int, d: int) -> int:
-        return int(self.miss_s[z, d])
-
-    def arm_count(self, z: int) -> int:
-        return int(self.count[z].sum())
-
-    def take_rate(self, z: int) -> float:
-        total = self.count[z].sum()
-        if total == 0:
-            return float("nan")
-        return float(self.count[z, 1] / total)
 
     @classmethod
     def stack(cls, items) -> "CellStatistics":
@@ -180,7 +167,7 @@ def _reduce_rows(z, d, kind, y) -> tuple[CellStatistics, list, Callable]:
 
     def rows_of(k):
         return [order[starts[4 * k + c]:ends[4 * k + c]] for c in range(4)]
-    return CellStatistics(count, count - missing_s, observed + lacking_y, missing_s,
+    return CellStatistics(count, count - missing_s, observed + lacking_y,
                           *outcome_moments(donors)), donors, rows_of
 
 
@@ -267,8 +254,10 @@ def validate_design(records,
     cells = ingest(records)
     failures, warns = [], []
     first_stage, weak = None, False
-    if cells.arm_count(1) and cells.arm_count(0):
-        first_stage = cells.take_rate(1) - cells.take_rate(0)
+    arm = cells.count.sum(-1)
+    if arm.all():
+        take = cells.count[:, 1] / arm
+        first_stage = float(take[1] - take[0])
         weak = abs(first_stage) < weak_threshold
         if weak:
             warns.append(
@@ -281,9 +270,9 @@ def validate_design(records,
     for zz, dd in CELLS:
         counts[(zz, dd)] = {
             "n": int(cells.count[zz, dd]),
-            "survivors": cells.n(zz, dd, 1),
-            "non_survivors": cells.n(zz, dd, 0),
-            "missing_s": cells.n_missing_s(zz, dd),
+            "survivors": int(cells.surv_pos[zz, dd]),
+            "non_survivors": int(cells.surv_obs[zz, dd] - cells.surv_pos[zz, dd]),
+            "missing_s": int(cells.miss_s[zz, dd]),
             "observed_y": int(cells.y_count[zz, dd]),
         }
     return ValidationReport(
@@ -306,7 +295,8 @@ def read_csv(path) -> np.ndarray:
     (``1_0`` and non-ASCII digits, which ``float()`` reads, or a ``#``)
     also sends the file line by line.
     Errors name the first offending line: an invalid record on an earlier
-    line is reported before a parse error on a later one.
+    line is reported before a parse error on a later one.  A file that is
+    not UTF-8 raises a ``SchemaError`` naming the file.
     """
     arr = _read_plain_csv(path)
     if arr is None:
@@ -391,6 +381,9 @@ def _read_csv_lines(path) -> np.ndarray:
     except SchemaError:
         _check_csv_rows(path, rows, lines)
         raise
+    except UnicodeDecodeError as exc:
+        _check_csv_rows(path, rows, lines)
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     return _check_csv_rows(path, rows, lines)

@@ -476,7 +476,6 @@ def cells_from_arrays_reference(z, d, delta_s, s, delta_y, y) -> CellStatistics:
     count = np.zeros((2, 2), dtype=np.int64)
     surv_obs = np.zeros((2, 2), dtype=np.int64)
     surv_pos = np.zeros((2, 2), dtype=np.int64)
-    miss_s = np.zeros((2, 2), dtype=np.int64)
     y_count = np.zeros((2, 2), dtype=np.int64)
     y_mean = np.zeros((2, 2), dtype=float)
     y_m2 = np.zeros((2, 2), dtype=float)
@@ -489,13 +488,41 @@ def cells_from_arrays_reference(z, d, delta_s, s, delta_y, y) -> CellStatistics:
             obs = cell & (delta_s == 1)
             surv_obs[zz, dd] = obs.sum()
             surv_pos[zz, dd] = (obs & (s == 1)).sum()
-            miss_s[zz, dd] = (cell & (delta_s == 0)).sum()
             ys = np.sort(y[cell & observed_y])
             if ys.size:
                 y_count[zz, dd] = ys.size
                 y_mean[zz, dd] = ys.mean()
                 y_m2[zz, dd] = ((ys - y_mean[zz, dd]) ** 2).sum()
-    return CellStatistics(count, surv_obs, surv_pos, miss_s, y_count, y_mean, y_m2)
+    return CellStatistics(count, surv_obs, surv_pos, y_count, y_mean, y_m2)
+
+
+def validate_design_reference(arr, weak_threshold) -> dict:
+    """validate_design's report fields with one row mask per arm and per
+    cell count, the reference for the report read off the cell arrays."""
+    z, d, delta_s, s, delta_y, _ = np.asarray(arr, dtype=float).T
+    arm = [np.count_nonzero(z == zz) for zz in (0, 1)]
+    first_stage, weak, failures, warns = None, False, [], []
+    if arm[0] and arm[1]:
+        take = [np.count_nonzero((z == zz) & (d == 1)) / arm[zz] for zz in (0, 1)]
+        first_stage = take[1] - take[0]
+        weak = abs(first_stage) < weak_threshold
+        if weak:
+            warns.append(f"weak instrument: first-stage difference {first_stage:.4f} "
+                         f"below threshold {weak_threshold:g}")
+    else:
+        failures.append("single assignment arm")
+    cell_counts = {}
+    for zz, dd in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cell = (z == zz) & (d == dd)
+        cell_counts[(zz, dd)] = {
+            "n": np.count_nonzero(cell),
+            "survivors": np.count_nonzero(cell & (delta_s == 1) & (s == 1)),
+            "non_survivors": np.count_nonzero(cell & (delta_s == 1) & (s == 0)),
+            "missing_s": np.count_nonzero(cell & (delta_s == 0)),
+            "observed_y": np.count_nonzero(cell & (s == 1) & (delta_y == 1)),
+        }
+    return {"n_records": len(z), "first_stage": first_stage, "weak_instrument": weak,
+            "cell_counts": cell_counts, "failures": failures, "warnings": warns}
 
 
 def pace_denominators_twin(params):
@@ -612,11 +639,11 @@ def cl_proportion_twin(params):
 def covariance_diagonal_twin(cells):
     """fit_cell_params' covariance diagonal with the 11-parameter order spelled out."""
     n = cells.n_records
-    n1, n0 = cells.arm_count(1), cells.arm_count(0)
+    n0, n1 = (int(cells.count[z].sum()) for z in (0, 1))
     if n1 == 0 or n0 == 0:
         raise EmptyCellError(f"assignment arm z={1 if n1 == 0 else 0} has no records")
     assign_rate = n1 / n
-    take = np.array([cells.take_rate(0), cells.take_rate(1)])
+    take = np.array([cells.count[0, 1] / n0, cells.count[1, 1] / n1])
     var_survival = np.zeros((2, 2))
     var_mean = np.zeros((2, 2))
     for z in (0, 1):
@@ -757,9 +784,10 @@ def wald_reduction(cells: CellStatistics) -> float:
         raise ReductionPreconditionError(
             "the uptake-scaled contrast requires no truncation (all observed s = 1)"
         )
-    take1, take0 = cells.take_rate(1), cells.take_rate(0)
-    if not np.isfinite(take1) or not np.isfinite(take0):
+    n0, n1 = (int(cells.count[z].sum()) for z in (0, 1))
+    if n1 == 0 or n0 == 0:
         raise ReductionPreconditionError("both assignment arms must be present")
+    take1, take0 = cells.count[1, 1] / n1, cells.count[0, 1] / n0
     if take1 == take0:
         raise DenominatorDegenerateError("uptake difference is exactly zero")
     return (_arm_outcome_mean(cells, 1) - _arm_outcome_mean(cells, 0)) / (take1 - take0)
@@ -785,7 +813,7 @@ def no_missing_reduction(cells: CellStatistics) -> float:
         raise ReductionPreconditionError(
             "the moment-ratio form requires fully observed survival and outcomes"
         )
-    n1, n0 = cells.arm_count(1), cells.arm_count(0)
+    n0, n1 = (int(cells.count[z].sum()) for z in (0, 1))
     if n1 == 0 or n0 == 0:
         raise ReductionPreconditionError("both assignment arms must be present")
 
@@ -807,11 +835,11 @@ def no_missing_reduction(cells: CellStatistics) -> float:
 def fit_cell_params_reference(cells):
     """fit_cell_params for one dataset, one (z, d) cell at a time."""
     n = cells.n_records
-    n1, n0 = cells.arm_count(1), cells.arm_count(0)
+    n0, n1 = (int(cells.count[z].sum()) for z in (0, 1))
     if n1 == 0 or n0 == 0:
         raise EmptyCellError(f"assignment arm z={1 if n1 == 0 else 0} has no records")
     assign_rate = n1 / n
-    take = np.array([cells.take_rate(0), cells.take_rate(1)])
+    take = np.array([cells.count[0, 1] / n0, cells.count[1, 1] / n1])
 
     survival = np.zeros((2, 2))
     mean_y = np.zeros((2, 2))

@@ -140,6 +140,13 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, argv)
         assert code == 0 and calls == [(20, 0)]
 
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"z,d,delta_s,s,delta_y,y\n1,1,1,1,1,2.0\n0,0,1,1,1,caf\xe9\n")
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(path)])
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
         assert code == 4
@@ -577,6 +584,16 @@ class TestEffectSeries:
         assert lines[1] == (f'1,{bad},,,,,,,,,"error: cell (z=0, d=0, s=1) has survivors '
                             'but no observed outcome"')
         assert lines[2].split(",")[-1] == "ok"
+
+    def test_non_utf8_period_flagged_inline(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_csv(good, build_study_dataset(year=3))
+        bad.write_bytes(good.read_bytes() + b"0,0,1,1,1,caf\xe9\n")
+        code, out, _ = run_cli(capsys, ["effect-series", str(good), str(bad)])
+        assert code == 0
+        series = list(csv.DictReader(io.StringIO(out)))
+        assert (series[0]["status"], series[1]["period"]) == ("ok", "2")
+        assert series[1]["status"].startswith(f"error: {bad}: not UTF-8 text")
 
     def test_single_arm_period_fails_validation(self, capsys, tmp_path):
         good = tmp_path / "good.csv"

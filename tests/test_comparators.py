@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenrct.comparators import estimate, itt_at_pp, tsls_survivors
+from brokenrct.comparators import METHODS, estimate, itt_at_pp, tsls_survivors
 from brokenrct.errors import (
     DenominatorDegenerateError,
     EmptyCellError,
@@ -83,13 +83,17 @@ class TestTsls:
 
 
 def test_estimate_dispatches_every_method():
-    cells = ingest(generate(DgpConfig(n=3000, case=2), seed=46)[0])
+    arr = generate(DgpConfig(n=3000, case=2), seed=46)[0]
+    cells = ingest(arr)
     params, cov = fit_cell_params(cells)
     pace = estimate_pace(params, cov, level=0.9, n=cells.n_records)
     assert estimate(cells, "pace", level=0.9) == pace
     assert estimate(cells, "tsls", level=0.9) == tsls_survivors(cells, level=0.9)
     for method in ("itt", "at", "pp"):
         assert estimate(cells, method, level=0.9) == itt_at_pp(cells, method, level=0.9)
+    # raw records are ingested first
+    for method in METHODS:
+        assert estimate(arr, method, level=0.9) == estimate(cells, method, level=0.9)
     with pytest.raises(ValueError):
         estimate(cells, "ols")
 

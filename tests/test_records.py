@@ -28,6 +28,7 @@ from helpers import (
     cells_from_arrays_reference,
     damaged_datasets,
     records_from_array,
+    validate_design_reference,
     validate_rows,
 )
 
@@ -46,8 +47,8 @@ def test_one_record_per_cell():
     cells = ingest(records)
     for z in (0, 1):
         for d in (0, 1):
-            assert cells.n(z, d, 1) == 1
-            assert cells.n(z, d, 0) == 0
+            assert cells.surv_pos[z, d] == 1
+            assert cells.surv_obs[z, d] - cells.surv_pos[z, d] == 0
     assert cells.n_records == 4
 
 
@@ -55,7 +56,7 @@ def test_fully_missing_survival_is_ingestible_but_not_estimable():
     records = [rec(z, d, 0, None, 0, None) for z in (0, 1) for d in (0, 1)]
     cells = ingest(records * 3)
     assert cells.n_records == 12
-    assert cells.n_missing_s(1, 1) == 3
+    assert cells.miss_s[1, 1] == 3
     with np.errstate(invalid="ignore"):
         assert np.isnan(cells.surv_pos[1, 1] / cells.surv_obs[1, 1])
     with pytest.raises(Exception):
@@ -185,7 +186,7 @@ def test_complete_case_means_respect_flags():
     assert cells.surv_pos[1, 1] / cells.surv_obs[1, 1] == pytest.approx(2 / 3)
     assert cells.y_count[1, 1] == 1
     assert cells.y_mean[1, 1] == 4.0
-    assert cells.n_missing_s(1, 1) == 1
+    assert cells.miss_s[1, 1] == 1
 
 
 def test_validate_design_single_arm():
@@ -215,6 +216,20 @@ def test_validate_design_weak_instrument():
     assert report.ok
     assert report.weak_instrument
     assert any("weak instrument" in w for w in report.warnings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arr=damaged_datasets(min_rows=1, max_rows=40),
+       weak_threshold=st.sampled_from((0.02, 0.3, 1.0)))
+def test_validate_design_matches_row_reference(arr, weak_threshold):
+    report = validate_design(arr, weak_threshold)
+    want = validate_design_reference(arr, weak_threshold)
+    got = {name: getattr(report, name) for name in want}
+    assert got == want
+    # the report holds plain Python numbers, as a JSON writer needs
+    assert type(report.n_records) is int
+    assert report.first_stage is None or type(report.first_stage) is float
+    assert {type(v) for counts in report.cell_counts.values() for v in counts.values()} == {int}
 
 
 def test_csv_round_trip(tmp_path):
@@ -408,6 +423,22 @@ def test_bom_file_is_parsed_in_bulk(tmp_path):
     assert outcome[0] == (4, 6)
 
 
+def test_non_utf8_file_is_a_schema_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    # more lines than one decoding chunk, so some rows parse before the bad byte
+    body = (HEADER + "\n" + "1,1,1,1,1,2.0\n" * 2000).encode()
+    path.write_bytes(body + b"0,0,1,1,1,caf\xe9\n")
+    with pytest.raises(SchemaError) as raised:
+        read_csv(path)
+    assert str(raised.value).startswith(f"{path}: not UTF-8 text")
+    # an invalid record parsed before the undecodable byte is reported first
+    path.write_bytes(body.replace(b"2.0", b"", 1) + b"\xe9\n")
+    with pytest.raises(SchemaError) as raised:
+        read_csv(path)
+    assert (raised.value.line, str(raised.value)) == (
+        2, f"line 2: {path}: y must be a finite number when delta_y = 1 and s = 1")
+
+
 def test_lf_and_crlf_files_parse_alike(tmp_path, monkeypatch):
     arr, _ = generate(DgpConfig(n=300, case=2), seed=6)
     arr[::5, 4:6] = (0.0, np.nan)
@@ -462,7 +493,9 @@ def test_cells_from_arrays_matches_reference(arr):
     masks = [survived & (delta_y == 1), survived & (delta_y == 0),
              (delta_s == 1) & (s == 0), delta_s == 0]
     cells = [(z == zz) & (d == dd) for zz, dd in CELLS]
-    _, donors, rows_of = _cells_and_donors(*arr.T)
+    stats, donors, rows_of = _cells_and_donors(*arr.T)
+    assert stats.miss_s.tolist() == np.reshape(
+        [np.count_nonzero(masks[3] & cell) for cell in cells], (2, 2)).tolist()
     assert [(pool.dtype, pool.tobytes()) for pool in donors] == [
         (ys.dtype, ys.tobytes()) for ys in (np.sort(y[masks[0] & cell]) for cell in cells)]
     assert [[at.tolist() for at in rows_of(kind)] for kind in range(4)] == [

@@ -74,7 +74,7 @@ def assert_rows_match_reference(rows, level=0.95):
 
 @st.composite
 def cell(draw, size, binary):
-    """[count, surv_obs, surv_pos, miss_s, y_count, y_mean, y_m2] of one
+    """[count, surv_obs, surv_pos, y_count, y_mean, y_m2] of one
     consistent (z, d) cell: often empty, all dead or with no observed outcome."""
     count = draw(size)
     obs = draw(st.integers(0, count))
@@ -82,7 +82,7 @@ def cell(draw, size, binary):
     k = draw(st.integers(0, pos))
     mean = draw(st.floats(0.0, 1.0) if binary else st.floats(-20.0, 20.0)) if k else 0.0
     m2 = draw(st.floats(0.0, 0.25 * k if binary else 50.0)) if k > 1 else 0.0
-    return [count, obs, pos, count - obs, k, mean, m2]
+    return [count, obs, pos, k, mean, m2]
 
 
 @st.composite
@@ -103,8 +103,8 @@ def cell_statistics(draw):
             nudged[0] += 1
             nudged[1] += 1
     fields = np.array([arm0, arm1], dtype=float).transpose(2, 0, 1)  # [field, z, d]
-    counts = fields[:5].astype(np.int64)
-    return CellStatistics(*counts, fields[5], fields[6])
+    counts = fields[:4].astype(np.int64)
+    return CellStatistics(*counts, fields[4], fields[5])
 
 
 @settings(max_examples=500, deadline=None)
