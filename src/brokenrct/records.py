@@ -10,6 +10,7 @@ counts and complete-case means/variances per (z, d) cell.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -288,15 +289,16 @@ def validate_design(records,
 def read_csv(path) -> np.ndarray:
     """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing).
 
-    The file is UTF-8, with or without a byte order mark.  An unquoted file
-    with no blank line, whose lines all end in LF or all in CRLF, is parsed
-    in bulk by numpy's C reader, every other file line by line, with the
-    same results and errors.  A field that the C reader does not parse
-    (``1_0`` and non-ASCII digits, which ``float()`` reads, or a ``#``)
-    also sends the file line by line.
-    Errors name the first offending line: an invalid record on an earlier
-    line is reported before a parse error on a later one.  A file that is
-    not UTF-8 raises a ``SchemaError`` naming the file.
+    The file is UTF-8, with or without a byte order mark.  An ASCII,
+    unquoted file with the exact header, no blank line and six fields on
+    every line, whose lines all end in LF or all in CRLF, is parsed in bulk
+    from its bytes; every other file is parsed line by line.  Both convert a
+    field with ``float(field.strip())`` (a one-digit field, or a digit then
+    ``.0``, by arithmetic with the same result), so they agree on results
+    and errors.  Errors name the first offending line: an invalid record on
+    an earlier line is reported before a parse error or an undecodable byte
+    on a later one.  A file that is not UTF-8 raises a ``SchemaError``
+    naming the file and the line of the first undecodable byte.
     """
     arr = _read_plain_csv(path)
     if arr is None:
@@ -304,89 +306,128 @@ def read_csv(path) -> np.ndarray:
     return _check_csv_rows(path, arr, range(2, len(arr) + 2))
 
 
+def _read_bytes(path) -> bytes:
+    """The file's bytes without a UTF-8 byte order mark."""
+    with open(path, "rb") as handle:
+        return handle.read().removeprefix(codecs.BOM_UTF8)
+
+
+_HEADER = (",".join(COLUMNS) + "\n").encode()
+
+
 def _read_plain_csv(path) -> np.ndarray | None:
     """The unchecked (n, 6) array of a plain file, or None for any other file.
 
-    Plain: the exact header, then at least one line of six fields, every
-    line ending in LF, or every line in CRLF with no other CR, no blank
-    line, and in every field but a blank s or y a number that
-    ``np.loadtxt`` parses.  It parses none of ``1_0``, non-ASCII digits and
-    a ``#`` (comments are off), so those files return None and the line
-    parser reads or reports them.
+    Plain: ASCII, the exact header, then at least one line of six fields,
+    every line ending in LF, or every line in CRLF with no other CR, and no
+    blank line.  A field is blank (an s or y only, read as nan), one digit
+    or a digit then ``.0`` (read by arithmetic), or a text that
+    ``float(field.strip())`` reads, as the line parser does; a nan z, d,
+    delta_s or delta_y is left to the line parser.  For any other file the
+    line parser reads or reports it.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        return None
-    if "\r" in text:
+    data = _read_bytes(path)
+    if b"\r" in data:
         # a CR anywhere but before every LF is left to the line parser
-        n_crlf = text.count("\r\n")
-        if n_crlf != text.count("\r") or n_crlf != text.count("\n"):
+        n_crlf = data.count(b"\r\n")
+        if n_crlf != data.count(b"\r") or n_crlf != data.count(b"\n"):
             return None
-        text = text.replace("\r\n", "\n")
-    header = ",".join(COLUMNS) + "\n"
-    n_lines = text.count("\n")
-    # loadtxt skips a blank line, but a blank line keeps this total only next
-    # to a line of more than six fields, which loadtxt or the shape rejects
-    if (not text.startswith(header) or not text.endswith("\n") or n_lines < 2
-            or text.count(",") != 5 * n_lines):
+        data = data.replace(b"\r\n", b"\n")
+    n_lines = data.count(b"\n")
+    if (not data.startswith(_HEADER) or not data.endswith(b"\n") or n_lines < 2
+            or data.count(b",") != 5 * n_lines or not data.isascii()):
         return None
-    # loadtxt rejects a quote, a whitespace-only field, a blank that the fill
-    # leaves (a leading one, or two in a row) and any other non-number
-    body = text[len(header):].replace(",,", ",nan,").replace(",\n", ",nan\n")
-    try:
-        arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # one row of separators per line, the header's first; each must end in LF
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n"))).reshape(n_lines, len(COLUMNS))
+    if (buf[seps[:, -1]] != ord("\n")).any():
         return None
-    # a blank or nan z, d, delta_s or delta_y is left to the line-by-line parser
-    if arr.shape[1] != len(COLUMNS) or np.isnan(arr[:, [0, 1, 2, 4]]).any():
-        return None
+    arr = np.empty((n_lines - 1, len(COLUMNS)))
+    text = data.decode("ascii")
+    starts = seps[:-1, -1] + 1
+    for j, name in enumerate(COLUMNS):
+        ends = seps[1:, j]
+        if not _parse_column(arr[:, j], buf, text, starts, ends, name in ("s", "y")):
+            return None
+        starts = ends + 1
     return arr
+
+
+def _parse_column(col, buf, text, starts, ends, blank_is_nan) -> bool:
+    """Fill ``col`` with the fields ``text[starts:ends]``; False when the line
+    parser must read the file: a blank it may not hold, a field that
+    ``float()`` rejects, or a nan in a column that may not hold one."""
+    width = ends - starts
+    lead = buf[starts] - ord("0")  # unsigned: below 10 only for a digit
+    digit = lead < 10
+    easy = digit & (width == 1)
+    # pandas writes an integer column as 1.0
+    three = np.flatnonzero(digit & (width == 3))
+    easy[three] = (buf[starts[three] + 1] == ord(".")) & (buf[starts[three] + 2] == ord("0"))
+    col[:] = lead
+    blank = width == 0
+    if blank.any():
+        if not blank_is_nan:
+            return False
+        col[blank] = np.nan
+    rest = np.flatnonzero(~(easy | blank))
+    try:
+        col[rest] = [float(text[a:b].strip())
+                     for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
+    except ValueError:
+        return False
+    return blank_is_nan or not np.isnan(col[rest]).any()
 
 
 def _read_csv_lines(path) -> np.ndarray:
     """:func:`read_csv` one line at a time: the parser of every file that is
     not parsed in bulk, and the reference the bulk parser is tested against."""
+    data = _read_bytes(path)
+    try:
+        decoded, undecodable = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        # the whole lines before the undecodable one are parsed: their errors come first
+        decoded, undecodable = data[:exc.start].decode("utf-8"), exc
+        decoded = decoded[:max(decoded.rfind("\n"), decoded.rfind("\r")) + 1]
+    reader = csv.reader(io.StringIO(decoded, newline=""))
     rows, lines = [], []
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file")
-            if [h.strip() for h in header] != list(COLUMNS):
-                raise SchemaError(f"{path}: header must be {','.join(COLUMNS)}", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not f.strip() for f in row):
+        header = next(reader, None)
+        if header is not None and [h.strip() for h in header] != list(COLUMNS):
+            raise SchemaError(f"{path}: header must be {','.join(COLUMNS)}", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not f.strip() for f in row):
+                continue
+            if len(row) != 6:
+                raise SchemaError(f"{path}: expected 6 fields, got {len(row)}", line=lineno)
+            values = []
+            for name, fieldval in zip(COLUMNS, row):
+                text = fieldval.strip()
+                if text == "":
+                    if name not in ("s", "y"):
+                        raise SchemaError(f"{path}: column {name} may not be empty",
+                                          line=lineno)
+                    values.append(np.nan)
                     continue
-                if len(row) != 6:
-                    raise SchemaError(f"{path}: expected 6 fields, got {len(row)}", line=lineno)
-                values = []
-                for name, fieldval in zip(COLUMNS, row):
-                    text = fieldval.strip()
-                    if text == "":
-                        if name not in ("s", "y"):
-                            raise SchemaError(f"{path}: column {name} may not be empty",
-                                              line=lineno)
-                        values.append(np.nan)
-                        continue
-                    try:
-                        values.append(float(text))
-                    except ValueError:
-                        raise SchemaError(f"{path}: column {name}: not a number: {text!r}",
-                                          line=lineno) from None
-                rows.append(values)
-                lines.append(lineno)
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise SchemaError(f"{path}: column {name}: not a number: {text!r}",
+                                      line=lineno) from None
+            rows.append(values)
+            lines.append(lineno)
     except SchemaError:
         _check_csv_rows(path, rows, lines)
         raise
-    except UnicodeDecodeError as exc:
-        _check_csv_rows(path, rows, lines)
-        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    arr = _check_csv_rows(path, rows, lines)
+    if undecodable is not None:
+        raise SchemaError(f"{path}: not UTF-8 text: {undecodable.reason}",
+                          line=reader.line_num + 1)
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return _check_csv_rows(path, rows, lines)
+    return arr
 
 
 def _check_csv_rows(path, rows, lines) -> np.ndarray:

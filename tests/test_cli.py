@@ -145,7 +145,7 @@ class TestAnalyze:
         path.write_bytes(b"z,d,delta_s,s,delta_y,y\n1,1,1,1,1,2.0\n0,0,1,1,1,caf\xe9\n")
         code, out, err = run_cli(capsys, ["analyze", "--input", str(path)])
         assert (code, out) == (4, "")
-        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert err.startswith(f"error: line 3: {path}: not UTF-8 text")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
@@ -593,7 +593,8 @@ class TestEffectSeries:
         assert code == 0
         series = list(csv.DictReader(io.StringIO(out)))
         assert (series[0]["status"], series[1]["period"]) == ("ok", "2")
-        assert series[1]["status"].startswith(f"error: {bad}: not UTF-8 text")
+        bad_line = good.read_bytes().count(b"\n") + 1
+        assert series[1]["status"].startswith(f"error: line {bad_line}: {bad}: not UTF-8 text")
 
     def test_single_arm_period_fails_validation(self, capsys, tmp_path):
         good = tmp_path / "good.csv"

@@ -281,7 +281,8 @@ VALUE_EDITS = (
     lambda f: f" {f} ", lambda f: f"\t{f}", lambda f: " ", lambda f: "", lambda f: "nan",
     lambda f: "NaN", lambda f: "oops", lambda f: "1_0", lambda f: "\u0661", lambda f: "\x1c1",
     lambda f: "inf", lambda f: "-Infinity", lambda f: "1e5", lambda f: "+1", lambda f: ".5",
-    lambda f: "0x10", lambda f: f[:1] + "#" + f[1:],
+    lambda f: "0x10", lambda f: f[:1] + "#" + f[1:], lambda f: f + ".0", lambda f: "2",
+    lambda f: "01", lambda f: "1e0", lambda f: "1.00",
 )
 LAYOUT_EDITS = (lambda f: f'"{f}"', lambda f: f'"{f}', lambda f: f + ",",
                 lambda f: f + "\r", lambda f: "\r" + f)
@@ -375,8 +376,7 @@ PLAIN = HEADER + "\n1,1,1,1,1,2.5\n0,1,1,0,0,\n1,0,0,,0,\n0,0,1,1,0,\n"
     PLAIN.replace("\n0,1", "\n  \n0,1", 1).replace(",2.5\n", ",2.5,1,1,1,1,1\n", 1),
     PLAIN.replace("2.5", "2#5", 1),                        # a # inside a y field
     PLAIN.replace("2.5", "2.5#", 1),
-    PLAIN.replace("2.5", "1_0", 1),                        # float() reads these three
-    PLAIN.replace("2.5", "\u0661", 1),
+    PLAIN.replace("2.5", "\u0661", 1),                     # non-ASCII digits, which float() reads
     PLAIN.replace("1,1,1,1,1", "\u0661,1,1,1,1", 1),
     PLAIN.replace("2.5", "0x10", 1),
     # a parse error, then an undecodable byte past the first block read
@@ -400,6 +400,7 @@ def test_listed_layouts_are_parsed_line_by_line(tmp_path, text):
     PLAIN.replace("2.5", ".5", 1),
     PLAIN.replace("2.5", " 2.5\t", 1),
     PLAIN.replace("2.5", "\x1c2.5", 1),
+    PLAIN.replace("2.5", "1_0", 1),
     PLAIN.replace("0,1,1,0,0,", "0,1,1,0.0,0,nan", 1),
     PLAIN.replace("\n", "\r\n"),                          # CRLF on every line
     PLAIN.replace("2.5", "inf", 1).replace("\n", "\r\n"),
@@ -430,13 +431,46 @@ def test_non_utf8_file_is_a_schema_error(tmp_path):
     path.write_bytes(body + b"0,0,1,1,1,caf\xe9\n")
     with pytest.raises(SchemaError) as raised:
         read_csv(path)
-    assert str(raised.value).startswith(f"{path}: not UTF-8 text")
+    assert raised.value.line == 2002
+    assert str(raised.value).startswith(f"line 2002: {path}: not UTF-8 text")
     # an invalid record parsed before the undecodable byte is reported first
     path.write_bytes(body.replace(b"2.0", b"", 1) + b"\xe9\n")
     with pytest.raises(SchemaError) as raised:
         read_csv(path)
     assert (raised.value.line, str(raised.value)) == (
         2, f"line 2: {path}: y must be a finite number when delta_y = 1 and s = 1")
+
+
+@pytest.mark.parametrize("line2, line, error", [
+    ("1,1,1,1,1,", 2, "y must be a finite number when delta_y = 1 and s = 1"),
+    ("1,1,1,1,1,2.0", 3, "not UTF-8 text: invalid continuation byte"),
+])
+def test_undecodable_line_is_reported_after_earlier_lines(tmp_path, line2, line, error):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{HEADER}\n{line2}\n".encode() + b"0,0,1,1,1,caf\xe9\n")
+    for parse in (read_csv, _read_csv_lines):
+        assert parse_outcome(parse, path) == ("SchemaError", line, f"line {line}: {path}: {error}")
+
+
+def test_undecodable_header_is_reported_at_line_1(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"z,d,delta_s,s,delta_y,\xe9\n" + PLAIN.encode()[len(HEADER) + 1:])
+    assert parse_outcome(read_csv, path) == (
+        "SchemaError", 1, f"line 1: {path}: not UTF-8 text: invalid continuation byte")
+
+
+def test_pandas_style_file_is_parsed_in_bulk(tmp_path):
+    # pandas writes a float column that holds integers and blanks as 1.0
+    arr, _ = generate(DgpConfig(n=10_000, case=2), seed=8)
+    arr[::7, 2:6] = (0.0, np.nan, 0.0, np.nan)
+    arr[1::5, 4:6] = (0.0, np.nan)
+    rows = [[f if j == 5 or not f else f + ".0" for j, f in enumerate(row)]
+            for row in plain_lines(arr)]
+    path = tmp_path / "pandas.csv"
+    path.write_text("\n".join([HEADER] + [",".join(row) for row in rows]) + "\n")
+    bulk = _read_plain_csv(path)
+    assert bulk is not None
+    assert bulk.tobytes() == _read_csv_lines(path).tobytes() == arr.tobytes()
 
 
 def test_lf_and_crlf_files_parse_alike(tmp_path, monkeypatch):
