@@ -74,9 +74,7 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
     group pools the outcome moments of its (z, d) cells.  A stack of cells
     gives one estimate per row (see :func:`estimate`).
     """
-    method = method.lower()
-    if method not in ("itt", "at", "pp"):
-        raise ValueError(f"method must be itt, at or pp, got {method!r}")
+    method = _contrast_method(method)
     cells = ingest(records)
     k, mean, m2 = cells.y_count, cells.y_mean, cells.y_m2
     if method == "itt":    # group by z: pool each arm's two d cells
@@ -93,6 +91,14 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
     var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0) / np.maximum(k, 1)
     return make_estimate(Estimate, method, mean[..., 1] - mean[..., 0],
                          np.sqrt(var[..., 1] + var[..., 0]), level, k.sum(axis=-1), reason)
+
+
+def _contrast_method(method: str) -> str:
+    """``method`` in lower case; ``ValueError`` unless it is itt, at or pp."""
+    method = method.lower()
+    if method not in ("itt", "at", "pp"):
+        raise ValueError(f"method must be itt, at or pp, got {method!r}")
+    return method
 
 
 def check_scale(method: str, scale: str) -> None:

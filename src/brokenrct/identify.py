@@ -61,14 +61,6 @@ class CellParams:
         vec[..., MEAN_AT] = self.mean_y
         return vec
 
-    @classmethod
-    def unpack(cls, vec) -> "CellParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (11,):
-            raise ValueError("parameter vector must have length 11")
-        return cls(take=vec[TAKE_AT], survival=vec[SURVIVAL_AT], mean_y=vec[MEAN_AT],
-                   assign_rate=float(vec[0]))
-
 
 @dataclass(frozen=True)
 class StrataProportions:

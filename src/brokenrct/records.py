@@ -14,6 +14,7 @@ import codecs
 import csv
 import io
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -203,6 +204,10 @@ def as_array(records) -> np.ndarray:
         raise SchemaError(f"expected 6 columns {COLUMNS}, got {arr.shape[1]}")
     _check_records(arr)
     return arr
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def _check_records(arr: np.ndarray) -> None:
@@ -419,6 +424,9 @@ def _read_csv_lines(path) -> np.ndarray:
     except SchemaError:
         _check_csv_rows(path, rows, lines)
         raise
+    except csv.Error as exc:   # a field over csv.field_size_limit(), for one
+        _check_csv_rows(path, rows, lines)
+        raise SchemaError(f"{path}: {exc}", line=reader.line_num) from None
     arr = _check_csv_rows(path, rows, lines)
     if undecodable is not None:
         raise SchemaError(f"{path}: not UTF-8 text: {undecodable.reason}",

@@ -29,13 +29,9 @@ import numpy as np
 
 from .comparators import METHODS, estimate
 from .errors import EstimationError, Reason
-from .records import CellStatistics, _reduce_rows
+from .records import CellStatistics, _is_int, _reduce_rows
 
 CASES = (1, 2, 3, 4)
-
-
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)

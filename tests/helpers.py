@@ -129,6 +129,15 @@ def dataset_estimates(taus, within_var) -> list[Estimate]:
             for tau, var in zip(taus, within_var)]
 
 
+def unpack_params(vec) -> CellParams:
+    """The :class:`CellParams` of a packed 11-vector: the inverse of ``CellParams.pack``."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (11,):
+        raise ValueError("parameter vector must have length 11")
+    return CellParams(take=vec[TAKE_AT], survival=vec[SURVIVAL_AT], mean_y=vec[MEAN_AT],
+                      assign_rate=float(vec[0]))
+
+
 def study_params(year: int) -> CellParams:
     cells = STUDY_CELLS[year]
     survival = np.zeros((2, 2))

@@ -43,6 +43,7 @@ from helpers import (
     stratum_oracle,
     study_params,
     survivor_contrast_reduction,
+    unpack_params,
     wald_reduction,
 )
 
@@ -146,8 +147,8 @@ def test_criterion_4_gradient_matches_finite_differences():
         for arm, which in ((1, 0), (0, 1)):
             analytic = gradient_mu(params, arm)
             for i in range(11):
-                hi = CellParams.unpack(np.where(np.arange(11) == i, base + step, base))
-                lo = CellParams.unpack(np.where(np.arange(11) == i, base - step, base))
+                hi = unpack_params(np.where(np.arange(11) == i, base + step, base))
+                lo = unpack_params(np.where(np.arange(11) == i, base - step, base))
                 numeric = (pace_identify(hi)[which]
                            - pace_identify(lo)[which]) / (2 * step)
                 err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1.0)

@@ -32,6 +32,7 @@ from helpers import (
     pace_denominators_twin,
     pace_identify_twin,
     same,
+    unpack_params,
 )
 
 #: values that make exact ties, zero masses and signed zeros common
@@ -108,8 +109,8 @@ def test_covariance_diagonal_matches_twin(arr):
 def test_pack_and_unpack_are_inverse():
     vec = np.arange(11.0) - 5.0
     vec[4] = -0.0
-    assert same(CellParams.unpack(vec).pack(), vec)
-    params = CellParams.unpack(vec)
+    assert same(unpack_params(vec).pack(), vec)
+    params = unpack_params(vec)
     assert (params.take[1], params.take[0]) == (vec[1], vec[2])
     assert params.survival[1, 1] == vec[3] and params.survival[0, 0] == vec[6]
     assert params.mean_y[1, 0] == vec[8] and params.mean_y[0, 1] == vec[9]

@@ -147,6 +147,14 @@ class TestAnalyze:
         assert (code, out) == (4, "")
         assert err.startswith(f"error: line 3: {path}: not UTF-8 text")
 
+    def test_oversized_quoted_field_names_its_line(self, capsys, tmp_path):
+        # a field over csv.field_size_limit() (131072 characters)
+        path = tmp_path / "oversized.csv"
+        path.write_text('z,d,delta_s,s,delta_y,y\n1,1,1,1,1,"' + "1" * 200_000 + '"\n')
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(path)])
+        assert (code, out) == (4, "")
+        assert err == f"error: line 2: {path}: field larger than field limit (131072)\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])
         assert code == 4

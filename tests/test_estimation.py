@@ -20,7 +20,7 @@ from brokenrct.identify import CellParams, pace_identify
 from brokenrct.records import ingest
 from brokenrct.simulate import DgpConfig, generate
 
-from helpers import gradient_mu, study_params, wald_reduction
+from helpers import gradient_mu, study_params, unpack_params, wald_reduction
 
 
 def rows_to_cells(rows):
@@ -122,8 +122,8 @@ def max_gradient_error(params, arm, step):
     which = 0 if arm == 1 else 1
     worst = 0.0
     for i in range(11):
-        hi = CellParams.unpack(np.where(np.arange(11) == i, base + step, base))
-        lo = CellParams.unpack(np.where(np.arange(11) == i, base - step, base))
+        hi = unpack_params(np.where(np.arange(11) == i, base + step, base))
+        lo = unpack_params(np.where(np.arange(11) == i, base - step, base))
         numeric = (pace_identify(hi)[which]
                    - pace_identify(lo)[which]) / (2 * step)
         err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1.0)

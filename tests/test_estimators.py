@@ -1,10 +1,13 @@
+import json
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from brokenrct.comparators import METHODS, estimate, itt_at_pp, tsls_survivors
-from brokenrct.errors import DesignError
+from brokenrct.errors import AllOutcomesMissingError, DesignError, WeakInstrumentWarning
 from brokenrct.estimation import estimate_pace, fit_cell_params
 from brokenrct.estimators import (
     PaceEstimator,
@@ -13,7 +16,7 @@ from brokenrct.estimators import (
     analyze_dataset,
 )
 from brokenrct.imputation import impute_within_cells
-from brokenrct.records import ingest
+from brokenrct.records import ingest, read_csv
 from brokenrct.simulate import DgpConfig, generate
 
 from helpers import delete_outcomes_mcar, delete_survival_mcar, records_from_array
@@ -134,6 +137,53 @@ class TestComparatorWrappers:
         expected = itt_at_pp(sample, method)
         assert est.tau_ == expected.tau
         assert est.se_ == expected.se
+
+
+GOLDEN = Path(__file__).parent / "data" / "analyze-golden"
+#: the class that fits each method of METHODS
+CLASSES = {"pace": PaceEstimator, "tsls": TwoStageLeastSquares,
+           **{m: lambda m=m: SurvivorContrast(method=m) for m in ("itt", "at", "pp")}}
+
+
+class TestOneRoute:
+    """Every class fits through analyze_dataset, so it reports, fails and
+    warns as ``analyze --method`` does."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_equals_analyze_golden(self, method):
+        want = json.loads((GOLDEN / "five.json").read_text())["estimates"][method]
+        est = CLASSES[method]().fit(read_csv(GOLDEN / "case2.csv"))
+        assert (est.tau_, est.se_, est.conf_int_, est.p_value_) == (
+            want["estimate"], want["se"], (want["ci_lower"], want["ci_upper"]), want["p_value"])
+
+    @pytest.mark.parametrize("method", ["pace", "tsls", "itt"])
+    def test_single_arm_is_the_design_error_analyze_prints(self, method):
+        message = (GOLDEN / "onearm.err").read_text().rstrip("\n")
+        with pytest.raises(DesignError, match=f"^{re.escape(message)}$"):
+            CLASSES[method]().fit(read_csv(GOLDEN / "onearm.csv"))
+
+    def test_tsls_warns_of_a_weak_instrument(self):
+        # first stage 0.016, below the default threshold 0.02
+        arr, _ = generate(DgpConfig(n=2000, case=2, p_d1_given_not_d0=0.012), seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            TwoStageLeastSquares().fit(arr)
+        assert caught and caught[0].category is WeakInstrumentWarning
+
+    @pytest.mark.parametrize("method", ["tsls", "itt", "at", "pp"])
+    def test_comparators_raise_what_fit_cell_params_raises(self, sample, method):
+        # the survivors of cell (1, 1) all lack y: analyze exits 3
+        arr = sample.copy()
+        arr[(arr[:, 0] == 1) & (arr[:, 1] == 1) & (arr[:, 3] == 1), 4:] = [0, np.nan]
+        with pytest.raises(AllOutcomesMissingError):
+            fit_cell_params(ingest(arr))
+        with pytest.raises(AllOutcomesMissingError):
+            CLASSES[method]().fit(arr)
+
+    @pytest.mark.parametrize("method", ["pace", "tsls", "foo"])
+    def test_contrast_rejects_other_methods_before_the_records(self, method):
+        with pytest.raises(ValueError, match=f"^method must be itt, at or pp, got '{method}'$"):
+            SurvivorContrast(method=method).fit(np.full((1, 6), 7.0))
 
 
 def test_analysis_record_estimates_each_method_on_its_cells(sample):
