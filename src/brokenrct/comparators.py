@@ -95,10 +95,9 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
 
 def _contrast_method(method: str) -> str:
     """``method`` in lower case; ``ValueError`` unless it is itt, at or pp."""
-    method = method.lower()
-    if method not in ("itt", "at", "pp"):
+    if not isinstance(method, str) or method.lower() not in ("itt", "at", "pp"):
         raise ValueError(f"method must be itt, at or pp, got {method!r}")
-    return method
+    return method.lower()
 
 
 def check_scale(method: str, scale: str) -> None:

@@ -61,7 +61,7 @@ class PooledEstimate:
 
 
 def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
-    """Return m completed datasets as (n, 6) arrays, reproducible from seed.
+    """Return m completed datasets as column-major (n, 6) arrays, reproducible from seed.
 
     Each imputation sets every survival status to observed, writes the
     survival draws into the rows missing s, then a donor outcome into each
@@ -69,7 +69,9 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     is 0 keeps an undefined outcome.  Draws are independent across
     imputations.  Raises :class:`NoDonorsError` when a cell contains a
     missing value but no observed donor for that variable.  The rows of
-    each cell are those of the reduction that ingests the input.
+    each cell are those of the reduction that ingests the input.  Each
+    dataset is one copy of the input in :func:`~brokenrct.records.as_array`'s
+    layout, so it passes through ``as_array`` again without a copy.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -81,7 +83,7 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     lacking_y, missing_s = rows_of(1), rows_of(3)
     completed = []
     for draws in _draws(cells, donors, m, seed):
-        out = arr.copy()
+        out = arr.copy(order="K")  # as_array's layout
         out[:, 2] = 1.0
         for y_at, s_at, pool, (alive, picks) in zip(lacking_y, missing_s, donors, draws):
             out[s_at, 3] = alive

@@ -174,30 +174,31 @@ def _reduce_rows(z, d, kind, y) -> tuple[CellStatistics, list, Callable]:
 
 
 def as_array(records) -> np.ndarray:
-    """Coerce records to a validated (n, 6) float array, nan for missing.
+    """Coerce records to a validated (n, 6) column-major float64 array, nan for missing.
 
     Accepts a 2-D array-like in column order ``z, d, delta_s, s, delta_y, y``,
     a dataframe-like with those columns, or a sequence of
-    :class:`ObservationRecord`.  A 2-D float64 ndarray is returned as is, not
-    copied; nothing in the package writes to it.  An invalid record raises
-    :class:`InvalidRecordError` naming the first offending row and the first
-    rule that row breaks.
+    :class:`ObservationRecord`.  Column-major (Fortran-order) float64 is the
+    package's one record layout: every column is contiguous, so the record
+    check and the cell reduction read memory in order.  Such an ndarray is
+    returned as is, not copied; nothing in the package writes to it.  Any
+    other input, a row-major array included, is copied once into the layout.
+    An invalid record raises :class:`InvalidRecordError` naming the first
+    offending row and the first rule that row breaks.
     """
     if hasattr(records, "columns"):
         missing = [c for c in COLUMNS if c not in set(records.columns)]
         if missing:
             raise SchemaError(f"missing columns: {', '.join(missing)}")
-        arr = np.column_stack([np.asarray(records[c], dtype=float) for c in COLUMNS])
-    elif isinstance(records, np.ndarray):
-        arr = np.asarray(records, dtype=float)
-    else:
+        # the rows of a (6, n) array are the columns of its column-major transpose
+        records = np.stack([np.asarray(records[c], dtype=float) for c in COLUMNS]).T
+    elif not isinstance(records, np.ndarray):
         records = list(records)
-        if records and not isinstance(records[0], ObservationRecord):
-            arr = np.asarray(records, dtype=float)
-        else:
-            arr = np.array([(r.z, r.d, r.delta_s, np.nan if r.s is None else r.s,
-                             r.delta_y, np.nan if r.y is None else r.y)
-                            for r in records], dtype=float).reshape(-1, 6)
+        if not records or isinstance(records[0], ObservationRecord):
+            records = np.array([(r.z, r.d, r.delta_s, np.nan if r.s is None else r.s,
+                                 r.delta_y, np.nan if r.y is None else r.y)
+                                for r in records], dtype=float).reshape(-1, 6)
+    arr = np.asfortranarray(records, dtype=float)
     if arr.ndim != 2:
         raise SchemaError("expected a 2-D array of records")
     if arr.shape[1] != 6:
@@ -292,7 +293,8 @@ def validate_design(records,
 
 
 def read_csv(path) -> np.ndarray:
-    """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing).
+    """Read a dataset CSV (`z,d,delta_s,s,delta_y,y`; blanks = missing) into a
+    column-major (n, 6) float64 array, the layout :func:`as_array` passes through.
 
     The file is UTF-8, with or without a byte order mark.  An ASCII,
     unquoted file with the exact header, no blank line and six fields on
@@ -317,11 +319,11 @@ def _read_bytes(path) -> bytes:
         return handle.read().removeprefix(codecs.BOM_UTF8)
 
 
-_HEADER = (",".join(COLUMNS) + "\n").encode()
+_HEADER = ",".join(COLUMNS).encode()
 
 
 def _read_plain_csv(path) -> np.ndarray | None:
-    """The unchecked (n, 6) array of a plain file, or None for any other file.
+    """The unchecked column-major (n, 6) array of a plain file, or None for any other file.
 
     Plain: ASCII, the exact header, then at least one line of six fields,
     every line ending in LF, or every line in CRLF with no other CR, and no
@@ -332,24 +334,23 @@ def _read_plain_csv(path) -> np.ndarray | None:
     line parser reads or reports it.
     """
     data = _read_bytes(path)
-    if b"\r" in data:
-        # a CR anywhere but before every LF is left to the line parser
-        n_crlf = data.count(b"\r\n")
-        if n_crlf != data.count(b"\r") or n_crlf != data.count(b"\n"):
-            return None
-        data = data.replace(b"\r\n", b"\n")
+    crlf = b"\r" in data
     n_lines = data.count(b"\n")
-    if (not data.startswith(_HEADER) or not data.endswith(b"\n") or n_lines < 2
-            or data.count(b",") != 5 * n_lines or not data.isascii()):
+    if (not data.startswith(_HEADER + (b"\r\n" if crlf else b"\n")) or not data.endswith(b"\n")
+            or n_lines < 2 or data.count(b",") != 5 * n_lines or not data.isascii()):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     # one row of separators per line, the header's first; each must end in LF
     seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n"))).reshape(n_lines, len(COLUMNS))
     if (buf[seps[:, -1]] != ord("\n")).any():
         return None
-    arr = np.empty((n_lines - 1, len(COLUMNS)))
+    # a CR anywhere but before every LF is left to the line parser
+    if crlf and ((buf[seps[:, -1] - 1] != ord("\r")).any() or data.count(b"\r") != n_lines):
+        return None
+    arr = np.empty((n_lines - 1, len(COLUMNS)), order="F")
     text = data.decode("ascii")
     starts = seps[:-1, -1] + 1
+    seps[:, -1] -= crlf  # a line's last field ends at its CR
     for j, name in enumerate(COLUMNS):
         ends = seps[1:, j]
         if not _parse_column(arr[:, j], buf, text, starts, ends, name in ("s", "y")):
@@ -439,8 +440,9 @@ def _read_csv_lines(path) -> np.ndarray:
 
 
 def _check_csv_rows(path, rows, lines) -> np.ndarray:
-    """Parsed rows as an (n, 6) array; a SchemaError at the line of the first invalid one."""
-    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(COLUMNS))
+    """Parsed rows as a column-major (n, 6) array, not copied when ``rows`` is
+    one; a SchemaError at the line of the first invalid one."""
+    arr = np.asfortranarray(rows, dtype=float).reshape(len(rows), len(COLUMNS))
     try:
         _check_records(arr)
     except InvalidRecordError as exc:

@@ -185,6 +185,14 @@ class TestOneRoute:
         with pytest.raises(ValueError, match=f"^method must be itt, at or pp, got '{method}'$"):
             SurvivorContrast(method=method).fit(np.full((1, 6), 7.0))
 
+    @pytest.mark.parametrize("method", [None, 3])
+    def test_contrast_rejects_a_method_that_is_no_text(self, sample, method):
+        message = f"^method must be itt, at or pp, got {method!r}$"
+        with pytest.raises(ValueError, match=message):
+            SurvivorContrast(method=method).fit(np.full((1, 6), 7.0))
+        with pytest.raises(ValueError, match=message):
+            itt_at_pp(sample, method)
+
 
 def test_analysis_record_estimates_each_method_on_its_cells(sample):
     damaged = delete_survival_mcar(delete_outcomes_mcar(sample, 0.2, seed=8), 0.1, seed=9)
@@ -195,12 +203,15 @@ def test_analysis_record_estimates_each_method_on_its_cells(sample):
         assert analysis.estimates[method] == estimate(analysis.cells, method, level=0.9)
 
 
-def test_callers_array_is_never_modified(sample):
-    # as_array hands a float64 array through without a copy
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_callers_array_is_never_modified(sample, order):
+    # as_array hands a column-major float64 array through without a copy
     arr = delete_survival_mcar(delete_outcomes_mcar(sample, 0.2, seed=8), 0.1, seed=9)
+    arr = np.asarray(arr, order=order)
     before = arr.tobytes()
     ingest(arr)
     tsls_survivors(arr)
     impute_within_cells(arr, 3, 0)
     PaceEstimator(impute=3).fit(arr)
     assert arr.dtype == np.float64 and arr.tobytes() == before
+    assert arr.flags[f"{order}_CONTIGUOUS"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -6,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenrct.errors import InvalidRecordError, SchemaError
+from brokenrct.errors import BrokenRctError, InvalidRecordError, NoDonorsError, SchemaError
 from brokenrct.estimation import fit_cell_params
+from brokenrct.estimators import PaceEstimator, TwoStageLeastSquares
+from brokenrct.imputation import impute_within_cells
 from brokenrct.records import (
     CELLS,
+    COLUMNS,
+    CellStatistics,
     ObservationRecord,
     _cells_and_donors,
     _read_csv_lines,
@@ -149,10 +154,84 @@ def first_invalid(check, data):
 @given(arr=corrupted_arrays())
 def test_column_check_matches_row_reference(arr):
     expected = first_invalid(validate_rows, arr)
+    fortran = np.asfortranarray(arr)
     assert first_invalid(as_array, arr) == expected
+    assert first_invalid(as_array, fortran) == expected
     assert first_invalid(as_array, records_from_array(arr)) == expected
     if expected is None:
-        assert as_array(arr) is arr
+        # a row-major array is copied once into the column-major layout; a
+        # single row is both row- and column-major, so it alone is not copied
+        out = as_array(arr)
+        assert out.flags.f_contiguous and (out is arr) == (len(arr) == 1)
+        assert out.tobytes() == arr.tobytes()
+        assert as_array(fortran) is fortran
+
+
+# The record layout: column-major float64 whatever the input's layout, with
+# the same results on a row-major and a column-major copy.
+
+def layouts(arr):
+    return np.ascontiguousarray(arr), np.asfortranarray(arr)
+
+
+class FrameLike:
+    """The two things as_array reads of a dataframe: ``columns`` and ``frame[name]``."""
+
+    def __init__(self, arr):
+        self.columns = list(COLUMNS)
+        self._arr = arr
+
+    def __getitem__(self, name):
+        return self._arr[:, COLUMNS.index(name)].tolist()
+
+
+def test_as_array_builds_the_layout_from_each_input_kind():
+    arr, _ = generate(DgpConfig(n=50, case=2), seed=4)
+    # a dataframe, lists of rows and of records, a strided view
+    for records in (FrameLike(arr), arr.tolist(), records_from_array(arr),
+                    np.hstack([arr, arr])[:, :6]):
+        out = as_array(records)
+        assert out.flags.f_contiguous and out.dtype == np.float64
+        assert out.tobytes() == arr.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(arr=corrupted_arrays(corrupt=False))
+def test_both_csv_parsers_and_the_hot_deck_return_the_layout(tmp_path_factory, arr):
+    path = tmp_path_factory.getbasetemp() / "layout.csv"
+    write_csv(path, arr)
+    for parse in (read_csv, _read_plain_csv, _read_csv_lines):
+        out = parse(path)
+        assert out.flags.f_contiguous and out.tobytes() == arr.tobytes()
+    for copy in layouts(arr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the moments of huge outcomes overflow
+            try:
+                completed = impute_within_cells(copy, 2, 0)
+            except NoDonorsError:
+                continue
+        assert all(done.flags.f_contiguous for done in completed)
+
+
+def fit_outcome(fit, arr):
+    """The error a fit raises, or its cell statistics' bytes and its result's repr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            fitted = fit(arr)
+        except BrokenRctError as exc:
+            return type(exc).__name__, str(exc)
+    cells = fitted if isinstance(fitted, CellStatistics) else fitted.cells_
+    return [getattr(cells, f.name).tobytes() for f in fields(cells)], repr(
+        getattr(fitted, "result_", None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arr=corrupted_arrays(corrupt=False))
+def test_row_and_column_major_copies_fit_alike(arr):
+    row_major, column_major = layouts(arr)
+    for fit in (ingest, PaceEstimator(impute=3).fit, TwoStageLeastSquares().fit):
+        assert fit_outcome(fit, row_major) == fit_outcome(fit, column_major)
 
 
 def test_csv_invalid_record_before_parse_error(tmp_path):
