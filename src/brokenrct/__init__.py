@@ -59,7 +59,20 @@ from .records import (
     validate_design,
     write_csv,
 )
-from .simulate import DgpConfig, PotentialData, SimulationReport, generate, run_study, true_pace
+
+#: the names of :mod:`~brokenrct.simulate`, which is imported on first use
+_SIMULATE_NAMES = ("DgpConfig", "PotentialData", "SimulationReport", "generate", "run_study",
+                   "true_pace")
+
+
+def __getattr__(name):
+    """A :mod:`~brokenrct.simulate` name, imported when first asked for (PEP 562),
+    so that the study harness and its process pool load only where they run."""
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AllOutcomesMissingError",

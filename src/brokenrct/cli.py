@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import inspect
 import io
 import json
 import sys
@@ -28,7 +26,6 @@ from .errors import BrokenRctError, DesignError, EstimationError, SchemaError
 from .estimation import SCALES
 from .estimators import analyze_dataset
 from .records import WEAK_INSTRUMENT_THRESHOLD, read_csv
-from .simulate import DgpConfig, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -186,6 +183,10 @@ def load_study_config(path) -> dict:
     ``run_study`` checks the settings; ``dgp`` holds the
     :class:`DgpConfig` overrides that it takes as ``config``.
     """
+    import inspect
+
+    from .simulate import DgpConfig, run_study
+
     with open(path) as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
@@ -213,6 +214,10 @@ def load_study_config(path) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    import hashlib
+
+    from .simulate import DgpConfig, run_study
+
     config = load_study_config(args.config)
     settings = {key: value for key, value in config.items() if key != "dgp"}
     report = run_study(config=DgpConfig(**config["dgp"]), **settings)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DenominatorDegenerateError, EmptyCellError, Reason, stack_errstate
-from .estimation import Estimate, estimate_pace, fit_cell_params, make_estimate
+from .estimation import (Estimate, estimate_pace, fit_cell_params, make_estimate,
+                         outcome_overflow_error)
 from .records import ingest, pool_moments
 
 #: every estimator by name: the main one, then the comparators
@@ -33,16 +34,22 @@ def tsls_survivors(records, level: float = 0.95) -> Estimate:
     observed outcome, the ratio is
     sum k (z - zbar)(ybar_zd - ybar) / sum k (z - zbar)(d - dbar), and the
     sandwich sums (z - zbar)^2 (M2 + k r^2) with r the cell-mean residual.
-    A stack of cells gives one estimate per row (see :func:`estimate`).
+    Every cell's M2 must be finite.  A stack of cells gives one estimate per
+    row (see :func:`estimate`).
     """
     cells = ingest(records)
     k = cells.y_count
     n, n_z1, n_d1 = k.sum(axis=(-2, -1)), k[..., 1, :].sum(axis=-1), k[..., :, 1].sum(axis=-1)
     # n * sum k (z - zbar)(d - dbar) is an integer: test it exactly
     first_stage_n = n * k[..., 1, 1] - n_z1 * n_d1
+    finite = np.isfinite(cells.y_m2).reshape(k.shape[:-2] + (4,))
     reason = np.where((n_z1 == 0) | (n_z1 == n), Reason.EMPTY_GROUP,
-                      np.where(first_stage_n == 0, Reason.ZERO_FIRST_STAGE, Reason.OK))
+                      np.where(first_stage_n == 0, Reason.ZERO_FIRST_STAGE,
+                               np.where(finite.all(axis=-1), Reason.OK, Reason.OUTCOME_OVERFLOW)))
     if reason.ndim == 0 and reason != Reason.OK:
+        if reason == Reason.OUTCOME_OVERFLOW:
+            z, d = divmod(int(finite.argmin()), 2)
+            raise outcome_overflow_error(f"cell (z={z}, d={d}, s=1)")
         raise (EmptyCellError("both assignment arms must appear among observed survivors")
                if reason == Reason.EMPTY_GROUP
                else DenominatorDegenerateError("zero first stage among survivors"))
@@ -71,8 +78,9 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
     itt: difference by assignment; at: difference by received treatment;
     pp: difference by assignment among protocol-followers (z = d).  Standard
     errors are the unpooled two-sample normal formula.  Each comparison
-    group pools the outcome moments of its (z, d) cells.  A stack of cells
-    gives one estimate per row (see :func:`estimate`).
+    group pools the outcome moments of its (z, d) cells, and each group's
+    M2 must be finite.  A stack of cells gives one estimate per row (see
+    :func:`estimate`).
     """
     method = _contrast_method(method)
     cells = ingest(records)
@@ -85,9 +93,12 @@ def itt_at_pp(records, method: str, level: float = 0.95) -> Estimate:
                                    k[..., 1, :], mean[..., 1, :], m2[..., 1, :])
     else:                  # protocol followers: cells (0, 0) and (1, 1)
         k, mean, m2 = (np.diagonal(a, axis1=-2, axis2=-1) for a in (k, mean, m2))
-    reason = np.where((k == 0).any(axis=-1), Reason.EMPTY_GROUP, Reason.OK)
-    if reason.ndim == 0 and reason == Reason.EMPTY_GROUP:
-        raise EmptyCellError(f"{method}: empty comparison group among observed survivors")
+    reason = np.where((k == 0).any(axis=-1), Reason.EMPTY_GROUP,
+                      np.where(np.isfinite(m2).all(axis=-1), Reason.OK, Reason.OUTCOME_OVERFLOW))
+    if reason.ndim == 0 and reason != Reason.OK:
+        raise (EmptyCellError(f"{method}: empty comparison group among observed survivors")
+               if reason == Reason.EMPTY_GROUP
+               else outcome_overflow_error(f"{method}: a comparison group"))
     var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0) / np.maximum(k, 1)
     return make_estimate(Estimate, method, mean[..., 1] - mean[..., 0],
                          np.sqrt(var[..., 1] + var[..., 0]), level, k.sum(axis=-1), reason)
@@ -119,7 +130,7 @@ def estimate(cells, method: str, level: float = 0.95, scale: str = "identity") -
     ``EstimationError`` (or warns of a weak pace denominator), its row gets
     the matching :class:`~brokenrct.errors.Reason` and undefined values:
     those of :func:`~brokenrct.estimation.estimate_pace` for pace,
-    ``EMPTY_GROUP`` or ``ZERO_FIRST_STAGE`` for the comparators.
+    ``EMPTY_GROUP``, ``ZERO_FIRST_STAGE`` or ``OUTCOME_OVERFLOW`` for the comparators.
     """
     check_scale(method, scale)
     cells = ingest(cells)

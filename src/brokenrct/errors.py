@@ -71,8 +71,8 @@ class WeakInstrumentWarning(UserWarning):
 class Reason:
     """Why a row of a stacked estimate failed (0 if it did not), where one
     dataset raises or warns as noted.  A row takes the first code that
-    applies, but codes 2 and 3 are checked cell by cell: (0, 0), (0, 1), ...
-    Plain ints, which numpy takes faster than an ``IntEnum``."""
+    applies, but codes 2, 3 and 9 are checked together, cell by cell:
+    (0, 0), (0, 1), ...  Plain ints, which numpy takes faster than an ``IntEnum``."""
 
     OK = 0
     EMPTY_ARM = 1               # EmptyCellError: an assignment arm has no records
@@ -83,6 +83,7 @@ class Reason:
     MU_OUT_OF_UNIT_INTERVAL = 6  # MuOutOfUnitIntervalError: logit scale only
     EMPTY_GROUP = 7             # EmptyCellError: a comparator's group has no outcome
     ZERO_FIRST_STAGE = 8        # DenominatorDegenerateError: tsls among survivors
+    OUTCOME_OVERFLOW = 9        # EstimationError: a cell's (or a group's) outcome M2 overflows
 
 
 def stack_errstate(stacked: bool):

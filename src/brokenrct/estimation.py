@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     AllOutcomesMissingError,
     EmptyCellError,
+    EstimationError,
     MuOutOfUnitIntervalError,
     Reason,
     stack_errstate,
@@ -99,6 +100,13 @@ def make_estimate(cls, method: str, tau, se, level: float, n, reason, **extra) -
     return cls(method, tau, se, *interval, level=level, n=n, reason=reason, **extra)
 
 
+def outcome_overflow_error(where: str) -> EstimationError:
+    """The error of one dataset whose outcome moments in ``where`` overflow
+    float64 (:attr:`~brokenrct.errors.Reason.OUTCOME_OVERFLOW` in a stack)."""
+    return EstimationError(f"{where} has outcomes too large for float64 moments: "
+                           "their sum of squared deviations overflows")
+
+
 def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     """Maximum-likelihood cell parameters and their diagonal covariance.
 
@@ -108,8 +116,9 @@ def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     that contains no records contributes exactly zero weight to every
     downstream formula, so its survival/outcome entries are set to zero
     rather than raising.  Cells that carry weight must have an observed
-    survival rate, and survivor cells that carry weight must have at least
-    one observed outcome.
+    survival rate, survivor cells that carry weight must have at least
+    one observed outcome, and every cell's outcome mean and M2 must be
+    finite: outcomes beyond about 1e154 overflow the M2 in float64.
 
     One dataset that breaks these rules raises; a stack of datasets codes
     each row's :class:`~brokenrct.errors.Reason` in ``params.reason``.
@@ -119,7 +128,8 @@ def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
     n = arm.sum(axis=-1)
     cell_reason = np.where(
         (count > 0) & (obs == 0), Reason.NO_SURVIVAL_STATUS,
-        np.where((count > 0) & (pos > 0) & (k == 0), Reason.NO_OUTCOME, Reason.OK))
+        np.where((count > 0) & (pos > 0) & (k == 0), Reason.NO_OUTCOME,
+                 np.where(np.isfinite(cells.y_m2), Reason.OK, Reason.OUTCOME_OVERFLOW)))
     cell_reason = cell_reason.reshape(cell_reason.shape[:-2] + (4,))
     first_cell = np.argmax(cell_reason != Reason.OK, axis=-1)
     reason = np.where((arm == 0).any(axis=-1), Reason.EMPTY_ARM,
@@ -131,8 +141,10 @@ def fit_cell_params(cells: CellStatistics) -> tuple[CellParams, CellCovariance]:
         if reason == Reason.NO_SURVIVAL_STATUS:
             raise EmptyCellError(
                 f"cell (z={z}, d={d}) has records but no observed survival status")
-        raise AllOutcomesMissingError(
-            f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome")
+        if reason == Reason.NO_OUTCOME:
+            raise AllOutcomesMissingError(
+                f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome")
+        raise outcome_overflow_error(f"cell (z={z}, d={d}, s=1)")
 
     # an empty count divides by 1: its cell is weightless or its row failed
     assign_rate = arm[..., 1] / np.maximum(n, 1)

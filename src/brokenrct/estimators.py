@@ -13,8 +13,8 @@ from collections import namedtuple
 from . import comparators, identify, imputation
 from .errors import DesignError, WeakInstrumentWarning
 from .estimation import estimate_pace, fit_cell_params
-from .records import (WEAK_INSTRUMENT_THRESHOLD, _is_int, as_array, cells_from_arrays,
-                      validate_design)
+from .records import (WEAK_INSTRUMENT_THRESHOLD, _cells_and_donors, _is_int, as_array,
+                      cells_from_arrays, validate_design)
 
 #: the record of one :func:`analyze_dataset` run; ``estimates`` maps method to estimate
 Analysis = namedtuple("Analysis", "validation cells params cov strata survival estimates")
@@ -23,16 +23,17 @@ Analysis = namedtuple("Analysis", "validation cells params cov strata survival e
 def analyze_dataset(arr, methods=("pace",), level: float = 0.95, scale: str = "identity",
                     impute: int | None = None, seed=0, completed_dir=None,
                     weak_threshold: float = WEAK_INSTRUMENT_THRESHOLD) -> Analysis:
-    """The :class:`Analysis` of ``arr``, a validated (n, 6) array: ingest it and
-    check the design, which raises :class:`~brokenrct.errors.DesignError` or
-    warns of a weak first stage before anything else warns; draw ``impute`` = m
-    hot-deck imputations from ``seed``, or read ``completed_dir``, whose every
-    file must complete ``arr``, when asked;
+    """The :class:`Analysis` of ``arr``, a validated (n, 6) array: ingest it by
+    one reduction of its rows and check the design, which raises
+    :class:`~brokenrct.errors.DesignError` or warns of a weak first stage
+    before anything else warns; draw ``impute`` = m hot-deck imputations from
+    ``seed`` out of that reduction's donors, or read ``completed_dir``, whose
+    every file must complete ``arr``, when asked;
     fit the complete-case cells once, take the strata proportions and then
     complier survival, and estimate each method on the cells or pooled over
     the completed cells.
     """
-    cells = cells_from_arrays(*arr.T)
+    cells, donors, _ = _cells_and_donors(*arr.T)
     validation = validate_design(cells, weak_threshold)
     if validation.failures:
         raise DesignError("validation failure: " + "; ".join(validation.failures))
@@ -40,7 +41,7 @@ def analyze_dataset(arr, methods=("pace",), level: float = 0.95, scale: str = "i
         warnings.warn(message, WeakInstrumentWarning, stacklevel=2)
     completed = None
     if impute is not None:
-        completed = imputation._completed_cells(arr, cells, impute, seed)
+        completed = imputation._completed_cells(cells, donors, impute, seed)
     elif completed_dir is not None:
         completed = [cells_from_arrays(*done.T)
                      for done in imputation._read_completions(completed_dir, arr)]

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NoDonorsError, SchemaError
 from .estimation import normal_interval
 from .records import (
+    _OVERFLOW_SILENT,
     CELLS,
     CellStatistics,
     _cells_and_donors,
@@ -95,27 +96,27 @@ def impute_within_cells(records, m: int, seed) -> list[np.ndarray]:
     return completed
 
 
-def _completed_cells(arr: np.ndarray, cells: CellStatistics, m: int,
+def _completed_cells(cells: CellStatistics, donors: list[np.ndarray], m: int,
                      seed) -> list[CellStatistics]:
     """The cell statistics of the m datasets of ``impute_within_cells(arr, m, seed)``.
 
-    ``arr`` is an already validated array and ``cells`` its statistics; no
-    completed dataset is built, and only each cell's sorted donors are read
-    from the rows, by the reduction behind ``cells``.  In each
+    ``cells`` and ``donors`` are those of one
+    :func:`~brokenrct.records._cells_and_donors` of the validated ``arr``; no
+    completed dataset is built and no row is read again.  In each
     completed cell every survival status is observed, the survivors are the
     observed ones plus the drawn ones, and the outcomes are each donor once
     plus once per draw of it.  Those outcomes, in sorted order, are the ones
     that :func:`~brokenrct.records.cells_from_arrays` would sort, so every
     field is bit-identical to its result on the completed dataset.
     """
-    donors = _cells_and_donors(*arr.T)[1]
     completed = []
-    for draws in _draws(cells, donors, m, seed):
-        drawn = np.array([np.count_nonzero(alive) for alive, _ in draws]).reshape(2, 2)
-        outcomes = [np.repeat(pool, np.bincount(picks, minlength=pool.size) + 1)
-                    for pool, (_, picks) in zip(donors, draws)]
-        completed.append(CellStatistics(cells.count.copy(), cells.count.copy(),
-                                        cells.surv_pos + drawn, *outcome_moments(outcomes)))
+    with np.errstate(**_OVERFLOW_SILENT):
+        for draws in _draws(cells, donors, m, seed):
+            drawn = np.array([np.count_nonzero(alive) for alive, _ in draws]).reshape(2, 2)
+            outcomes = [np.repeat(pool, np.bincount(picks, minlength=pool.size) + 1)
+                        for pool, (_, picks) in zip(donors, draws)]
+            completed.append(CellStatistics(cells.count.copy(), cells.count.copy(),
+                                            cells.surv_pos + drawn, *outcome_moments(outcomes)))
     return completed
 
 

@@ -80,14 +80,21 @@ def pool_moments(ka, mean_a, m2a, kb, mean_b, m2b):
     """Count, mean and M2 of two disjoint batches, elementwise.
 
     The pairwise update of Chan, Golub & LeVeque (1979); an empty batch
-    (count 0, mean 0) leaves the other batch's moments exact.
+    (count 0, mean 0) leaves the other batch's moments exact.  Moments too
+    large for float64 overflow to inf without a warning; the comparators
+    reject them.
     """
     k = ka + kb
     delta = mean_b - mean_a
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = np.where(k > 0, mean_a + delta * np.divide(kb, np.maximum(k, 1)), 0.0)
         m2 = m2a + m2b + delta**2 * np.divide(ka * kb, np.maximum(k, 1))
     return k, mean, m2
+
+
+#: the floating-point state in which outside outcomes are reduced to moments:
+#: an overflowing M2 is reported by the estimators, not by numpy's warnings
+_OVERFLOW_SILENT = dict(over="ignore", invalid="ignore")
 
 
 def outcome_moments(cell_ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +103,9 @@ def outcome_moments(cell_ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``cell_ys`` holds the outcomes of each cell of :data:`CELLS`, in sorted
     order.  Every cell's moments are computed here, so two routes to the
     same sorted outcomes give bit-identical statistics.  An empty cell gives
-    (0, 0.0, 0.0).
+    (0, 0.0, 0.0).  Outcomes too large for float64 moments give an infinite
+    or nan mean or M2, which the estimators reject; the callers that ingest
+    outside data silence numpy's warnings of it (:data:`_OVERFLOW_SILENT`).
     """
     k = np.zeros(len(CELLS), dtype=np.int64)
     mean = np.zeros(len(CELLS))
@@ -143,7 +152,8 @@ def _cells_and_donors(z, d, delta_s, s, delta_y, y) -> tuple[CellStatistics, lis
     survived = s == 1
     # valid columns: s = 1 only where observed, and a missing s is nan
     kind = np.int8(2) * ~survived + (delta_s == 0) + (survived & (delta_y == 0))
-    return _reduce_rows(z == 1, d == 1, kind, y)
+    with np.errstate(**_OVERFLOW_SILENT):
+        return _reduce_rows(z == 1, d == 1, kind, y)
 
 
 def _reduce_rows(z, d, kind, y) -> tuple[CellStatistics, list, Callable]:
@@ -182,7 +192,8 @@ def as_array(records) -> np.ndarray:
     package's one record layout: every column is contiguous, so the record
     check and the cell reduction read memory in order.  Such an ndarray is
     returned as is, not copied; nothing in the package writes to it.  Any
-    other input, a row-major array included, is copied once into the layout.
+    other input, a row-major array included, is copied once into the layout,
+    in blocks of rows (:func:`_column_major`).
     An invalid record raises :class:`InvalidRecordError` naming the first
     offending row and the first rule that row breaks.
     """
@@ -198,12 +209,34 @@ def as_array(records) -> np.ndarray:
             records = np.array([(r.z, r.d, r.delta_s, np.nan if r.s is None else r.s,
                                  r.delta_y, np.nan if r.y is None else r.y)
                                 for r in records], dtype=float).reshape(-1, 6)
-    arr = np.asfortranarray(records, dtype=float)
-    if arr.ndim != 2:
+        records = np.asarray(records, dtype=float)
+    else:
+        records = np.asarray(records)
+    if records.ndim != 2:
         raise SchemaError("expected a 2-D array of records")
-    if arr.shape[1] != 6:
-        raise SchemaError(f"expected 6 columns {COLUMNS}, got {arr.shape[1]}")
+    if records.shape[1] != 6:
+        raise SchemaError(f"expected 6 columns {COLUMNS}, got {records.shape[1]}")
+    arr = _column_major(records)
     _check_records(arr)
+    return arr
+
+
+#: rows per block of :func:`_column_major`'s copy
+_BLOCK_ROWS = 4096
+
+
+def _column_major(records: np.ndarray) -> np.ndarray:
+    """``np.asfortranarray(records, dtype=float)``, copied block by block.
+
+    A column-major float64 array is returned as is.  Any other is copied in
+    blocks of :data:`_BLOCK_ROWS` rows, whose columns stay in cache while
+    they are written, which a strided copy of the whole array does not do.
+    """
+    if records.dtype == np.float64 and records.flags.f_contiguous:
+        return records
+    arr = np.empty(records.shape, order="F")
+    for start in range(0, len(records), _BLOCK_ROWS):
+        arr[start:start + _BLOCK_ROWS] = records[start:start + _BLOCK_ROWS]
     return arr
 
 
@@ -216,8 +249,11 @@ def _check_records(arr: np.ndarray) -> None:
 
     ``arr`` is (n, 6) in :data:`COLUMNS` order, nan for missing.  Each rule
     is a mask over all rows; the error names the lowest offending row and,
-    of the rules that row breaks, the first in the order below.
+    of the rules that row breaks, the first in the order below.  The masks
+    are built only when :func:`_records_valid` finds a broken rule.
     """
+    if _records_valid(arr):
+        return
     z, d, delta_s, s, delta_y, y = arr.T
     survivor_y = (delta_s == 1) & (s == 1) & (delta_y == 1)
     rules = [(~np.isin(col, (0, 1)), f"{name} must be 0 or 1")
@@ -233,6 +269,25 @@ def _check_records(arr: np.ndarray) -> None:
     if broken:
         index, order = min(broken)
         raise InvalidRecordError(index, rules[order][1])
+
+
+def _records_valid(arr: np.ndarray) -> bool:
+    """Whether every row keeps every rule of :func:`_check_records`, as one
+    aggregate test over the columns: z, d and delta_s are 0 or 1; then
+    delta_y is 0 or delta_s, s is 0 or 1 where delta_s = 1 and missing
+    elsewhere, and y is finite where s = 1 and delta_y = 1 and missing
+    elsewhere.  Where the first tests hold, s = 1 and delta_y = 1 imply
+    delta_s = 1, so together these are exactly the nine rules.
+    """
+    z, d, delta_s, s, delta_y, y = arr.T
+    observed, alive = delta_s == 1, s == 1
+    if not (((z == 0) | (z == 1)) & ((d == 0) | (d == 1)) & ((delta_s == 0) | observed)).all():
+        return False
+    survivor_y = alive & (delta_y == 1)
+    # & and | rather than np.where, which is several times slower on booleans
+    return bool((((delta_y == 0) | (delta_y == delta_s))
+                 & ((observed & ((s == 0) | alive)) | (~observed & np.isnan(s)))
+                 & ((survivor_y & np.isfinite(y)) | (~survivor_y & np.isnan(y)))).all())
 
 
 @dataclass

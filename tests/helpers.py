@@ -57,6 +57,7 @@ from brokenrct.identify import (
     survivor_masses,
 )
 from brokenrct.records import (
+    CELLS,
     CellStatistics,
     ObservationRecord,
     as_array,
@@ -873,6 +874,10 @@ def fit_cell_params_reference(cells):
                 raise AllOutcomesMissingError(
                     f"cell (z={z}, d={d}, s=1) has survivors but no observed outcome"
                 )
+            if not math.isfinite(cells.y_m2[z, d]):
+                raise EstimationError(f"cell (z={z}, d={d}, s=1) has outcomes too large for "
+                                      "float64 moments: their sum of squared deviations "
+                                      "overflows")
             mean_y[z, d] = cells.y_mean[z, d]
             var_mean[z, d] = (cells.y_m2[z, d] / (k - 1) if k > 1 else 0.0) / k
 
@@ -955,6 +960,10 @@ def tsls_survivors_reference(records, level=0.95):
     first_stage_n = n * int(k[1, 1]) - n_z1 * n_d1
     if first_stage_n == 0:
         raise DenominatorDegenerateError("zero first stage among survivors")
+    for z, d in CELLS:
+        if not math.isfinite(cells.y_m2[z, d]):
+            raise EstimationError(f"cell (z={z}, d={d}, s=1) has outcomes too large for "
+                                  "float64 moments: their sum of squared deviations overflows")
     first_stage = first_stage_n / n
     z_c = np.array([[0.0], [1.0]]) - n_z1 / n
     y_bar = float((k * cells.y_mean).sum()) / n
@@ -978,6 +987,9 @@ def itt_at_pp_reference(records, method, level=0.95):
         k, mean, m2 = k.diagonal(), mean.diagonal(), m2.diagonal()
     if (k == 0).any():
         raise EmptyCellError(f"{method}: empty comparison group among observed survivors")
+    if not np.isfinite(m2).all():
+        raise EstimationError(f"{method}: a comparison group has outcomes too large for "
+                              "float64 moments: their sum of squared deviations overflows")
     var = np.where(k > 1, m2 / np.maximum(k - 1, 1), 0.0)
     tau = float(mean[1] - mean[0])
     se = math.sqrt(float(var[1] / k[1] + var[0] / k[0]))

@@ -11,8 +11,8 @@ import pytest
 
 from brokenrct import comparators, estimators, imputation
 from brokenrct.cli import load_study_config, main
-from brokenrct.errors import DesignError, NoDonorsError, WeakInstrumentWarning
-from brokenrct.estimators import PaceEstimator
+from brokenrct.errors import DesignError, EstimationError, NoDonorsError, WeakInstrumentWarning
+from brokenrct.estimators import PaceEstimator, TwoStageLeastSquares
 from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
@@ -22,6 +22,9 @@ from helpers import (
     delete_outcomes_mcar,
     delete_survival_mcar,
 )
+
+#: a case-2 dataset whose outcomes overflow a cell's M2
+OVERFLOW_CSV = Path(__file__).parent / "data" / "overflow.csv"
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,22 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, ["analyze", "--input", str(path)])
         assert (code, out) == (4, "")
         assert err == f"error: line 2: {path}: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--impute", "3"]], ids=["complete-case", "impute"])
+    def test_overflowing_outcome_moments_exit_3(self, capsys, extra):
+        # a 400-row case-2 file (seed 1) whose cell-(1, 1) outcome on line 8
+        # is 1.4e154: the cell's M2 overflows float64
+        argv = ["analyze", "--input", str(OVERFLOW_CSV), "--method", "pace", "--method", "tsls",
+                "--format", "json", *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+            for fit in (PaceEstimator().fit, TwoStageLeastSquares().fit):
+                with pytest.raises(EstimationError) as raised:
+                    fit(read_csv(OVERFLOW_CSV))
+                assert err == f"estimation error: {raised.value}\n"
+        assert (code, out) == (3, "")
+        assert err.startswith("estimation error: cell (z=1, d=1, s=1) has outcomes too large")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["analyze", "--input", str(tmp_path / "nope.csv")])

@@ -16,7 +16,7 @@ from brokenrct.imputation import (
     pool_estimates,
     read_completed_dir,
 )
-from brokenrct.records import cells_from_arrays, ingest, write_csv
+from brokenrct.records import _cells_and_donors, cells_from_arrays, ingest, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
 from helpers import (
@@ -150,7 +150,8 @@ def test_completed_cells_match_reference(arr, m, seed):
         return [cells_from_arrays(*a.T) for a in impute_within_cells_reference(arr, m, seed)]
 
     def via_cells(arr, m, seed):
-        return _completed_cells(arr, cells_from_arrays(*arr.T), m, seed)
+        cells, donors, _ = _cells_and_donors(*arr.T)
+        return _completed_cells(cells, donors, m, seed)
 
     expected = completed_cells_outcome(via_arrays, arr, m, seed)
     assert completed_cells_outcome(via_cells, arr, m, seed) == expected

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brokenrct.errors import BrokenRctError, InvalidRecordError, NoDonorsError, SchemaError
@@ -17,6 +17,7 @@ from brokenrct.records import (
     CellStatistics,
     ObservationRecord,
     _cells_and_donors,
+    _column_major,
     _read_csv_lines,
     _read_plain_csv,
     as_array,
@@ -150,8 +151,33 @@ def first_invalid(check, data):
     return None
 
 
+#: valid records of each kind, and for each rule of the record check in its
+#: order, a row that breaks that rule and no other
+VALID_ROWS = [[1, 1, 1, 1, 1, 2.0], [0, 0, 1, 1, 0, math.nan], [1, 0, 1, 0, 0, math.nan],
+              [0, 1, 0, math.nan, 0, math.nan]]
+ONE_RULE_BROKEN = [
+    [2, 1, 1, 1, 1, 2.0],                    # z must be 0 or 1
+    [1, 0.5, 1, 1, 1, 2.0],                  # d must be 0 or 1
+    [1, 1, 2, math.nan, 0, math.nan],        # delta_s must be 0 or 1
+    [1, 1, 1, 1, 0.5, math.nan],             # delta_y must be 0 or 1
+    [0, 0, 0, 0, 0, math.nan],               # s must be absent when delta_s = 0
+    [0, 0, 0, math.nan, 1, math.nan],        # delta_y must be 0 when delta_s = 0
+    [1, 0, 1, 2, 0, math.nan],               # s must be 0 or 1 when delta_s = 1
+    [1, 1, 1, 1, 1, math.inf],               # y must be finite for an observed survivor
+    [1, 1, 1, 0, 0, 3.0],                    # y must be absent otherwise
+]
+
+
+def with_each_rule_broken(test):
+    """``test`` with one example per rule: valid rows around a row that breaks it alone."""
+    for row in ONE_RULE_BROKEN:
+        test = example(arr=np.array(VALID_ROWS[:2] + [row] + VALID_ROWS[2:], dtype=float))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(arr=corrupted_arrays())
+@with_each_rule_broken
 def test_column_check_matches_row_reference(arr):
     expected = first_invalid(validate_rows, arr)
     fortran = np.asfortranarray(arr)
@@ -193,6 +219,29 @@ def test_as_array_builds_the_layout_from_each_input_kind():
         out = as_array(records)
         assert out.flags.f_contiguous and out.dtype == np.float64
         assert out.tobytes() == arr.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.one_of(st.integers(1, 3 * 4096 + 7), st.sampled_from((1, 4095, 4096, 4097, 8192))),
+       dtype=st.sampled_from((np.float64, np.float32, np.int64, np.int8, np.bool_)),
+       layout=st.sampled_from(("C", "F", "strided")))
+def test_blocked_copy_is_asfortranarray(n, dtype, layout):
+    # from 12 columns of random values (floats with nan, inf and -0.0): six
+    # contiguous columns in either order, or every other column, a strided view
+    rng = np.random.default_rng(n)
+    if np.issubdtype(dtype, np.floating):
+        wide = rng.choice([0.0, -0.0, 1.0, 2.5, -7.25e30, math.nan, math.inf], (n, 12))
+    else:
+        wide = rng.integers(-3, 4, (n, 12))
+    wide = wide.astype(dtype)
+    records = wide[:, ::2] if layout == "strided" else np.asarray(wide[:, :6], order=layout)
+    expected = np.asfortranarray(records, dtype=float)
+    out = _column_major(records)
+    assert out.flags.f_contiguous and out.dtype == np.float64 and out.shape == (n, 6)
+    assert out.tobytes(order="F") == expected.tobytes(order="F")
+    # a column-major float64 array, a row-major single row included, is not copied
+    assert (out is records) == (expected is records)
+    assert (out is records) == (dtype is np.float64 and (layout == "F" or layout == "C" and n == 1))
 
 
 @settings(max_examples=100, deadline=None)

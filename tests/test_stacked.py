@@ -22,6 +22,7 @@ from brokenrct.errors import (
     AllOutcomesMissingError,
     DenominatorDegenerateError,
     EmptyCellError,
+    EstimationError,
     MuOutOfUnitIntervalError,
     Reason,
     WeakDenominatorWarning,
@@ -50,6 +51,8 @@ def expected_reason(method, want, warned):
         return Reason.NO_OUTCOME
     if error is DenominatorDegenerateError:
         return Reason.ZERO_FIRST_STAGE if method == "tsls" else Reason.DEGENERATE_DENOMINATOR
+    if error is EstimationError:
+        return Reason.OUTCOME_OVERFLOW
     assert error is MuOutOfUnitIntervalError, want
     # the warning band fails a row before the log-odds check does
     return Reason.WEAK_DENOMINATOR if weak else Reason.MU_OUT_OF_UNIT_INTERVAL
@@ -114,13 +117,14 @@ def test_stacked_rows_match_the_one_dataset_reference(rows, level):
     assert_rows_match_reference(rows, level)
 
 
-def cells_of(spec):
+def cells_of(spec, scale=1.0):
     """Cells from records: ``spec[z, d]`` = (dead, survivors with an outcome,
-    survivors without one, records of unknown survival); outcomes i / 10."""
+    survivors without one, records of unknown survival); outcomes i / 10,
+    times ``scale``."""
     records = []
     for (z, d), (dead, observed, unobserved, unknown) in spec.items():
         records += [(z, d, 1, 0, 0, math.nan)] * dead
-        records += [(z, d, 1, 1, 1, (i + 1) / 10.0) for i in range(observed)]
+        records += [(z, d, 1, 1, 1, scale * (i + 1) / 10.0) for i in range(observed)]
         records += [(z, d, 1, 1, 0, math.nan)] * unobserved
         records += [(z, d, 0, math.nan, 0, math.nan)] * unknown
     return cells_from_arrays(*np.asarray(records, dtype=float).T)
@@ -129,11 +133,11 @@ def cells_of(spec):
 GOOD = {(0, 0): (4, 6, 0, 0), (0, 1): (2, 3, 0, 0), (1, 0): (3, 4, 0, 0), (1, 1): (2, 9, 0, 0)}
 
 
-def with_cells(**changes):
+def with_cells(scale=1.0, **changes):
     spec = dict(GOOD)
     for key, value in changes.items():
         spec[int(key[1]), int(key[2])] = value
-    return cells_of(spec)
+    return cells_of(spec, scale)
 
 
 #: one row per reason: (cells, the reason of each of METHOD_SCALES)
@@ -152,6 +156,8 @@ REASON_ROWS = [
      [Reason.WEAK_DENOMINATOR] + [Reason.OK] * 4 + [Reason.WEAK_DENOMINATOR]),
     # outcomes up to 2 put the treated survived-complier mean at 1.4
     (with_cells(c11=(2, 20, 0, 0)), [Reason.OK] * 5 + [Reason.MU_OUT_OF_UNIT_INTERVAL]),
+    # outcomes up to 1e160 overflow every cell's M2
+    (with_cells(scale=1.1e160), [Reason.OUTCOME_OVERFLOW] * 6),
 ]
 
 
