@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import math
 import numbers
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -248,46 +250,26 @@ def _check_records(arr: np.ndarray) -> None:
     """Raise :class:`InvalidRecordError` for the first row that breaks a rule.
 
     ``arr`` is (n, 6) in :data:`COLUMNS` order, nan for missing.  Each rule
-    is a mask over all rows; the error names the lowest offending row and,
-    of the rules that row breaks, the first in the order below.  The masks
-    are built only when :func:`_records_valid` finds a broken rule.
+    is a mask over all rows, and a nan breaks every rule that asks for a
+    value.  The error names the lowest row that breaks any rule and, of the
+    rules that row breaks, the first in the order below.
     """
-    if _records_valid(arr):
-        return
     z, d, delta_s, s, delta_y, y = arr.T
-    survivor_y = (delta_s == 1) & (s == 1) & (delta_y == 1)
-    rules = [(~np.isin(col, (0, 1)), f"{name} must be 0 or 1")
+    observed, unobserved = delta_s == 1, delta_s == 0
+    survivor_y = observed & (s == 1) & (delta_y == 1)
+    rules = [((col != 0) & (col != 1), f"{name} must be 0 or 1")
              for name, col in (("z", z), ("d", d), ("delta_s", delta_s), ("delta_y", delta_y))]
     rules += [
-        ((delta_s == 0) & ~np.isnan(s), "s must be absent when delta_s = 0"),
-        ((delta_s == 0) & (delta_y != 0), "delta_y must be 0 when delta_s = 0"),
-        ((delta_s == 1) & ~np.isin(s, (0, 1)), "s must be 0 or 1 when delta_s = 1"),
+        (unobserved & ~np.isnan(s), "s must be absent when delta_s = 0"),
+        (unobserved & (delta_y != 0), "delta_y must be 0 when delta_s = 0"),
+        (observed & (s != 0) & (s != 1), "s must be 0 or 1 when delta_s = 1"),
         (survivor_y & ~np.isfinite(y), "y must be a finite number when delta_y = 1 and s = 1"),
         (~survivor_y & ~np.isnan(y), "y must be absent unless delta_y = 1 and s = 1"),
     ]
-    broken = [(int(mask.argmax()), order) for order, (mask, _) in enumerate(rules) if mask.any()]
-    if broken:
-        index, order = min(broken)
-        raise InvalidRecordError(index, rules[order][1])
-
-
-def _records_valid(arr: np.ndarray) -> bool:
-    """Whether every row keeps every rule of :func:`_check_records`, as one
-    aggregate test over the columns: z, d and delta_s are 0 or 1; then
-    delta_y is 0 or delta_s, s is 0 or 1 where delta_s = 1 and missing
-    elsewhere, and y is finite where s = 1 and delta_y = 1 and missing
-    elsewhere.  Where the first tests hold, s = 1 and delta_y = 1 imply
-    delta_s = 1, so together these are exactly the nine rules.
-    """
-    z, d, delta_s, s, delta_y, y = arr.T
-    observed, alive = delta_s == 1, s == 1
-    if not (((z == 0) | (z == 1)) & ((d == 0) | (d == 1)) & ((delta_s == 0) | observed)).all():
-        return False
-    survivor_y = alive & (delta_y == 1)
-    # & and | rather than np.where, which is several times slower on booleans
-    return bool((((delta_y == 0) | (delta_y == delta_s))
-                 & ((observed & ((s == 0) | alive)) | (~observed & np.isnan(s)))
-                 & ((survivor_y & np.isfinite(y)) | (~survivor_y & np.isnan(y)))).all())
+    broken = functools.reduce(operator.or_, [mask for mask, _ in rules])
+    if broken.any():
+        index = int(broken.argmax())
+        raise InvalidRecordError(index, next(rule for mask, rule in rules if mask[index]))
 
 
 @dataclass
@@ -311,8 +293,11 @@ def validate_design(records,
     """Report-only design checks; never raises on bad designs.
 
     ``records`` is anything :func:`ingest` accepts, :class:`CellStatistics`
-    included, so a dataset already ingested is not validated again.
+    included, so a dataset already ingested is not validated again.  A nan
+    or negative ``weak_threshold``, which would never warn, is a ValueError.
     """
+    if not weak_threshold >= 0:
+        raise ValueError(f"weak_threshold must be a number >= 0, got {weak_threshold!r}")
     cells = ingest(records)
     failures, warns = [], []
     first_stage, weak = None, False
@@ -384,9 +369,8 @@ def _read_plain_csv(path) -> np.ndarray | None:
     every line ending in LF, or every line in CRLF with no other CR, and no
     blank line.  A field is blank (an s or y only, read as nan), one digit
     or a digit then ``.0`` (read by arithmetic), or a text that
-    ``float(field.strip())`` reads, as the line parser does; a nan z, d,
-    delta_s or delta_y is left to the line parser.  For any other file the
-    line parser reads or reports it.
+    ``float(field.strip())`` reads, as the line parser does.  For any other
+    file the line parser reads or reports it.
     """
     data = _read_bytes(path)
     crlf = b"\r" in data
@@ -416,8 +400,8 @@ def _read_plain_csv(path) -> np.ndarray | None:
 
 def _parse_column(col, buf, text, starts, ends, blank_is_nan) -> bool:
     """Fill ``col`` with the fields ``text[starts:ends]``; False when the line
-    parser must read the file: a blank it may not hold, a field that
-    ``float()`` rejects, or a nan in a column that may not hold one."""
+    parser must read the file: a blank it may not hold, or a field that
+    ``float()`` rejects."""
     width = ends - starts
     lead = buf[starts] - ord("0")  # unsigned: below 10 only for a digit
     digit = lead < 10
@@ -437,7 +421,7 @@ def _parse_column(col, buf, text, starts, ends, blank_is_nan) -> bool:
                      for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
     except ValueError:
         return False
-    return blank_is_nan or not np.isnan(col[rest]).any()
+    return True
 
 
 def _read_csv_lines(path) -> np.ndarray:

@@ -422,6 +422,13 @@ class TestAnalyze:
                                "below threshold 0.5")
         assert not any(m.startswith("weak instrument") for m in messages[1:])
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_a_threshold_that_never_warns_exits_4(self, capsys, weak_csv, threshold):
+        code, out, err = run_cli(capsys, ["analyze", "--input", str(weak_csv),
+                                          "--weak-threshold", threshold])
+        assert (code, out) == (4, "")
+        assert err == f"error: weak_threshold must be a number >= 0, got {float(threshold)!r}\n"
+
     def test_pace_estimator_warns_of_a_weak_instrument_once(self, weak_csv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,8 +1,8 @@
 """The error surface of ``brokenrct analyze``: any file gives an exit code.
 
-Byte mutations of a small valid dataset file must make ``analyze`` return
-0, 2, 3 or 4, never raise, and an exit-0 report must hold finite
-estimates.
+Byte mutations of a small valid dataset file, or of one file of a
+``--completed-dir``, must make ``analyze`` return 0, 2, 3 or 4, never
+raise, and an exit-0 report must hold finite estimates.
 """
 
 import codecs
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from brokenrct.cli import main
 from brokenrct.comparators import METHODS
-from brokenrct.records import write_csv
+from brokenrct.imputation import impute_within_cells
+from brokenrct.records import read_csv, write_csv
 from brokenrct.simulate import DgpConfig, generate
 
 from helpers import delete_outcomes_mcar, delete_survival_mcar
@@ -47,10 +48,25 @@ OVERSIZED = b'z,d,delta_s,s,delta_y,y\n1,1,1,1,1,"' + b"1" * 200_000 + b'"\n'
 OVERFLOW = (Path(__file__).parent / "data" / "overflow.csv").read_bytes()
 
 
+def _completed_files() -> list[bytes]:
+    """Two hot-deck completions of BASE, as bytes."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "completed.csv"
+        path.write_bytes(BASE)
+        completed = []
+        for arr in impute_within_cells(read_csv(path), 2, seed=3):
+            write_csv(path, arr)
+            completed.append(path.read_bytes())
+        return completed
+
+
+COMPLETED = _completed_files()
+
+
 @st.composite
-def mutated_files(draw):
-    """BASE with one to four insertions, overwrites or deletions, then maybe truncated."""
-    data = bytearray(BASE)
+def mutated_files(draw, original=BASE):
+    """``original`` with one to four insertions, overwrites or deletions, then maybe truncated."""
+    data = bytearray(original)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
         token = draw(st.sampled_from(TOKENS))
@@ -86,6 +102,32 @@ def test_analyze_exits_with_a_code_on_any_file(tmp_path_factory, data, impute):
     path = tmp_path_factory.getbasetemp() / "mutated.csv"
     path.write_bytes(data)
     code, out = analyze(path, ["--impute", "3"] if impute else [])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        report = json.loads(out)
+        assert all(math.isfinite(value) for estimate in report["estimates"].values()
+                   for value in estimate.values()), report["estimates"]
+
+
+@st.composite
+def mutated_completions(draw):
+    """COMPLETED with one of its two files mutated."""
+    files = list(COMPLETED)
+    which = draw(st.integers(0, len(files) - 1))
+    files[which] = draw(mutated_files(files[which]))
+    return files
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=mutated_completions())
+def test_analyze_exits_with_a_code_on_any_completed_dir(tmp_path_factory, files):
+    base = tmp_path_factory.getbasetemp()
+    (base / "input.csv").write_bytes(BASE)
+    folder = base / "completed"
+    folder.mkdir(exist_ok=True)
+    for i, data in enumerate(files):
+        (folder / f"imp{i}.csv").write_bytes(data)
+    code, out = analyze(base / "input.csv", ["--completed-dir", str(folder)])
     assert code in (0, 2, 3, 4)
     if code == 0:
         report = json.loads(out)

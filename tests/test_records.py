@@ -178,6 +178,11 @@ def with_each_rule_broken(test):
 @settings(max_examples=400, deadline=None)
 @given(arr=corrupted_arrays())
 @with_each_rule_broken
+# one row breaking the rules of ONE_RULE_BROKEN[5] and [8], delta_y = 1 and
+# a y where delta_s = 0: the earlier rule is named
+@example(arr=np.array(VALID_ROWS + [[0, 0, 0, math.nan, 1, 3.0]], dtype=float))
+# a row breaking the last rule alone, then one breaking the first: the earlier row is named
+@example(arr=np.array(VALID_ROWS + ONE_RULE_BROKEN[8:] + ONE_RULE_BROKEN[:1], dtype=float))
 def test_column_check_matches_row_reference(arr):
     expected = first_invalid(validate_rows, arr)
     fortran = np.asfortranarray(arr)
@@ -336,6 +341,13 @@ def test_validate_design_first_stage_no_warning():
     assert not report.weak_instrument
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0])
+def test_validate_design_rejects_a_threshold_that_never_warns(threshold):
+    rows = [(z, d, 1, 1, 1, 1.0) for z in (0, 1) for d in (0, 1)]
+    with pytest.raises(ValueError, match="weak_threshold"):
+        validate_design(np.asarray(rows, dtype=float), threshold)
+
+
 def test_validate_design_weak_instrument():
     rows = []
     for z in (0, 1):
@@ -487,7 +499,6 @@ PLAIN = HEADER + "\n1,1,1,1,1,2.5\n0,1,1,0,0,\n1,0,0,,0,\n0,0,1,1,0,\n"
     PLAIN.replace("\n0,1", "\n\n0,1", 1),                 # blank line
     PLAIN.replace("\n0,1", "\n  \n0,1", 1),               # whitespace-only line
     PLAIN.replace("\n0,1", "\n,,,,,\n0,1", 1),            # all fields blank
-    PLAIN.replace("0,1,1,0,0", "nan,1,1,0,0", 1),
     PLAIN.replace("0,1,1,0,0", ",1,1,0,0", 1),
     PLAIN.replace("1,0,0,,0", "1,0,0,,,", 1),            # blank delta_y
     PLAIN.replace("0,1,1,0,0,", "0,1,1, ,0,", 1),         # whitespace-only s
@@ -530,6 +541,8 @@ def test_listed_layouts_are_parsed_line_by_line(tmp_path, text):
     PLAIN.replace("2.5", "\x1c2.5", 1),
     PLAIN.replace("2.5", "1_0", 1),
     PLAIN.replace("0,1,1,0,0,", "0,1,1,0.0,0,nan", 1),
+    PLAIN.replace("0,1,1,0,0", "nan,1,1,0,0", 1),          # read, then a nan z rejected
+    PLAIN.replace("0,1,1,0,0", "0,1,1,0,NaN", 1),          # ... and a nan delta_y
     PLAIN.replace("\n", "\r\n"),                          # CRLF on every line
     PLAIN.replace("2.5", "inf", 1).replace("\n", "\r\n"),
 ])
